@@ -1,0 +1,57 @@
+"""Golden CLI outputs: exit code and stdout bytes must not change.
+
+Each file under ``tests/golden/`` starts with an ``exit <code>`` line followed
+by the exact stdout of one invocation; the ``--slopes-csv`` case appends the
+CSV file after a marker line.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from phamlab.cli import main
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+SLOPES = "{slopes}"  # replaced by a temporary CSV path
+SLOPES_MARKER = b"--- slopes csv ---\n"
+
+CASES = {
+    "verify_3_3_xy": ["verify", "3", "3", "--preset", "xy_coupled"],
+    "verify_3_3_xy_json": ["verify", "3", "3", "--preset", "xy_coupled", "--format", "json"],
+    "verify_4": ["verify", "4"],
+    "verify_4_json": ["verify", "4", "--format", "json"],
+    "verify_4_quadratic": ["verify", "4", "--preset", "quadratic_1d"],
+    "verify_4_quadratic_json": ["verify", "4", "--preset", "quadratic_1d", "--format", "json"],
+    "verify_5_3_xy": ["verify", "5", "3", "--preset", "xy_coupled"],
+    "verify_5_3_xy_json": ["verify", "5", "3", "--preset", "xy_coupled", "--format", "json"],
+    "verify_3_3_2": ["verify", "3", "3", "2", "--mu-cap", "18"],
+    "verify_3_3_2_json": ["verify", "3", "3", "2", "--mu-cap", "18", "--format", "json"],
+    "verify_3_slopes": ["verify", "3", "--slopes-csv", SLOPES],
+    "trace_4_omega": ["trace", "4", "--kind", "Omega_quad"],
+    "trace_3_3_xy_omega": ["trace", "3", "3", "--preset", "xy_coupled", "--kind", "Omega_quad"],
+    "trace_5_y": ["trace", "5", "--kind", "Y_triple"],
+    "cluster_5_3_xy_json": ["cluster", "5", "3", "--preset", "xy_coupled", "--format", "json"],
+    "mult_3_3": ["mult", "3", "3"],
+    "mult_3_3_json": ["mult", "3", "3", "--format", "json"],
+    "mult_3_3_csv": ["mult", "3", "3", "--format", "csv"],
+}
+
+
+def run_case(argv, tmp_dir: Path) -> bytes:
+    """Exit line, stdout and (if requested) the slopes CSV of one CLI call."""
+    slopes = tmp_dir / "slopes.csv"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([str(slopes) if arg == SLOPES else arg for arg in argv])
+    record = f"exit {code}\n".encode() + out.getvalue().encode()
+    if SLOPES in argv:
+        record += SLOPES_MARKER + slopes.read_bytes()
+    return record
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, tmp_path):
+    expected = (GOLDEN_DIR / f"{name}.txt").read_bytes()
+    assert run_case(CASES[name], tmp_path) == expected
