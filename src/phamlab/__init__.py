@@ -33,7 +33,6 @@ from .critical_tracker import (
     critical_set,
     default_line,
     jittered_line,
-    phi_ladder,
     separable_critical_set,
     track_to_phi,
 )
@@ -64,10 +63,7 @@ from .discriminant_products import (
 )
 from .polyalg import (
     NonConvergence,
-    PhamFunction,
     SparsePoly,
-    evaluate,
-    gradient,
     hessian_det_at,
     univariate_roots,
 )

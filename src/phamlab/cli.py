@@ -15,7 +15,6 @@ import cmath
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -32,6 +31,7 @@ from .critical_tracker import (
     jittered_line,
 )
 from .degree_lab import (
+    DEFAULT_MU_CAP,
     EpsilonGrid,
     Kind,
     cluster_scaling,
@@ -48,43 +48,15 @@ EXIT_DEGENERATE = 3
 EXIT_NUMERIC = 4
 
 
-@dataclass
-class RunConfig:
-    exponents: ExponentVector
-    preset: str
-    grid: EpsilonGrid
-    output_format: str
-    jitter: Optional[int]
-    mu_cap: int
-    phi_json: Optional[str]
-
-
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        exponents=ExponentVector(tuple(args.exponents)),
-        preset=getattr(args, "preset", "linear"),
-        grid=EpsilonGrid(
-            start=getattr(args, "eps_start", 1e-2),
-            ratio=getattr(args, "eps_ratio", 10**-0.5),
-            count=getattr(args, "eps_count", 7),
-            phase=getattr(args, "phase", 0.37),
-        ),
-        output_format=getattr(args, "format", "text"),
-        jitter=getattr(args, "jitter", None),
-        mu_cap=getattr(args, "mu_cap", 16),
-        phi_json=getattr(args, "phi_json", None),
-    )
-
-
-def _build_line(config: RunConfig) -> GenericLine:
-    if config.phi_json:
-        with open(config.phi_json, encoding="utf-8") as handle:
+def _build_line(args, exponents: ExponentVector) -> GenericLine:
+    if args.phi_json:
+        with open(args.phi_json, encoding="utf-8") as handle:
             phi = SparsePoly.from_json_dict(json.load(handle))
-        line = _line_from_phi(config.exponents, phi, config.grid.phase)
+        line = _line_from_phi(exponents, phi, args.phase)
     else:
-        line = default_line(config.exponents, config.preset, config.grid.phase)
-    if config.jitter is not None:
-        line = jittered_line(line, config.jitter)
+        line = default_line(exponents, args.preset, args.phase)
+    if args.jitter is not None:
+        line = jittered_line(line, args.jitter)
     return line
 
 
@@ -184,15 +156,10 @@ def _ratio_payload(ratio: Optional[Fraction]):
 
 
 def cmd_verify(args) -> int:
-    config = _config_from_args(args)
-    line = _build_line(config)
-    report = verify_all(
-        config.exponents,
-        preset=config.preset,
-        grid=config.grid,
-        mu_cap=config.mu_cap,
-        line=line,
-    )
+    exponents = ExponentVector(tuple(args.exponents))
+    grid = EpsilonGrid(args.eps_start, args.eps_ratio, args.eps_count, args.phase)
+    line = _build_line(args, exponents)
+    report = verify_all(exponents, preset=args.preset, grid=grid, mu_cap=args.mu_cap, line=line)
     if args.slopes_csv:
         with open(args.slopes_csv, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
@@ -221,8 +188,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    config = _config_from_args(args)
-    line = _build_line(config)
+    line = _build_line(args, ExponentVector(tuple(args.exponents)))
     report = cluster_scaling(line, tuple(args.eps_pair))
     if args.format == "json":
         _emit_json(
@@ -258,10 +224,9 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    config = _config_from_args(args)
-    line = _build_line(config)
+    line = _build_line(args, ExponentVector(tuple(args.exponents)))
     kind = Kind(args.kind)
-    sample = complex(args.eps) * cmath.exp(1j * config.grid.phase)
+    sample = complex(args.eps) * cmath.exp(1j * args.phase)
     trace = evaluate_trace(line, [sample], [kind])
     handle = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
@@ -333,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_exponents(p_verify)
     _add_line_flags(p_verify)
     _add_grid_flags(p_verify)
-    p_verify.add_argument("--mu-cap", type=int, default=16, help="refuse mu above this (default 16)")
+    p_verify.add_argument("--mu-cap", type=int, default=DEFAULT_MU_CAP,
+                          help=f"refuse mu above this (default {DEFAULT_MU_CAP})")
     p_verify.add_argument("--slopes-csv", help="write the slope table to this CSV file")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=cmd_verify)

@@ -38,7 +38,6 @@ __all__ = [
     "separable_critical_set",
     "track_to_phi",
     "critical_set",
-    "phi_ladder",
     "line_function",
 ]
 
@@ -204,23 +203,6 @@ def jittered_line(line: GenericLine, seed: int) -> GenericLine:
     return GenericLine(line.a, tuple(q), line.phi_tail, line.phase)
 
 
-def phi_ladder(line: GenericLine) -> list[SparsePoly]:
-    """Intermediate directions phi_0, ..., phi_n.
-
-    phi_j keeps the full linear part and the tail monomials supported on the
-    first j variables only, so phi_0 is linear and phi_n is the whole phi.
-    """
-    n = line.n
-    out = []
-    for j in range(n + 1):
-        terms = dict(SparsePoly.linear(line.q).terms)
-        for exp, coef in line.phi_tail.terms.items():
-            if all(i < j for i, e in enumerate(exp) if e):
-                terms[exp] = terms.get(exp, 0j) + coef
-        out.append(SparsePoly(n, terms))
-    return out
-
-
 def line_function(line: GenericLine, eps: complex) -> SparsePoly:
     """f - eps*phi as an explicit polynomial (normalized Pham head)."""
     n = line.n
@@ -306,11 +288,12 @@ def _values_at(line: GenericLine, eps: complex, coords: np.ndarray) -> np.ndarra
     return head - eps * (lin + tail)
 
 
-def _min_offdiag_distance(coords: np.ndarray) -> float:
+def _pairwise_distances(coords: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of coords, inf on the diagonal."""
     diff = coords[:, None, :] - coords[None, :, :]
     dist = np.sqrt((np.abs(diff) ** 2).sum(axis=2))
     np.fill_diagonal(dist, np.inf)
-    return float(dist.min())
+    return dist
 
 
 def _validate_set(line: GenericLine, eps: complex, cps: CriticalPointSet) -> None:
@@ -323,7 +306,7 @@ def _validate_set(line: GenericLine, eps: complex, cps: CriticalPointSet) -> Non
     if worst > residual_bound:
         raise TrackerError(f"gradient residual {worst:.3e} exceeds {residual_bound:.3e}")
     if mu > 1:
-        min_dist = _min_offdiag_distance(coords)
+        min_dist = float(_pairwise_distances(coords).min())
         if min_dist < DISTINCTNESS_FACTOR * residual_bound:
             raise TrackerError(f"points not distinct: min distance {min_dist:.3e}")
 
@@ -363,9 +346,7 @@ def _run_homotopy(line, eps: complex, start: np.ndarray, steps: int, floor: np.n
     z = start.copy()
     for k in range(1, steps + 1):
         z = _newton_correct(line, eps, k / steps, z, grads, hessians)
-        diff = z[:, None, :] - z[None, :, :]
-        dist = np.sqrt((np.abs(diff) ** 2).sum(axis=2))
-        np.fill_diagonal(dist, np.inf)
+        dist = _pairwise_distances(z)
         if (dist < floor).any():
             i, j = np.unravel_index(int((dist / floor).argmin()), dist.shape)
             raise PathCollision(f"points {i} and {j} collided at homotopy step {k}/{steps}")
@@ -389,7 +370,8 @@ def track_to_phi(line: GenericLine, eps: complex, steps: int = DEFAULT_STEPS) ->
     mu = coords0.shape[0]
 
     if mu > 1:
-        min_gap = _min_offdiag_distance(coords0)
+        dist0 = _pairwise_distances(coords0)
+        min_gap = float(dist0.min())
         grads, _ = _tail_derivative_polys(line)
         # predicted per-step Newton correction: tail forcing over the diagonal
         # Jacobian scale, divided across the homotopy steps
@@ -406,9 +388,6 @@ def track_to_phi(line: GenericLine, eps: complex, steps: int = DEFAULT_STEPS) ->
                 f"separable clusters too close for tracking: gap {min_gap:.3e} "
                 f"vs predicted step size {basin:.3e}"
             )
-        diff = coords0[:, None, :] - coords0[None, :, :]
-        dist0 = np.sqrt((np.abs(diff) ** 2).sum(axis=2))
-        np.fill_diagonal(dist0, np.inf)
         floor = COLLISION_SHRINK * dist0
     else:
         floor = np.zeros((1, 1))

@@ -34,6 +34,7 @@ from .closed_forms import (
     pure_stokes_multiplicity,
 )
 from .critical_tracker import (
+    DEFAULT_STEPS,
     GenericLine,
     TrackerError,
     critical_set,
@@ -239,7 +240,7 @@ def estimate_degree(
     line: GenericLine,
     kind: Kind,
     grid: Optional[EpsilonGrid] = None,
-    steps: int = 32,
+    steps: int = DEFAULT_STEPS,
 ) -> DegreeEstimate:
     grid = grid or EpsilonGrid(phase=line.phase)
     trace = evaluate_trace(line, grid.samples(), [kind], steps)
@@ -299,15 +300,14 @@ def classify_factors(
     if trace.has_zero(kind):
         raise ValueError("degenerate trace: structural zero factors cannot be classified")
     admissible = admissible_factor_exponents(ev, kind)
-    last = trace.samples[-1][kind].factors
-    prev = trace.samples[-2][kind].factors
+    last = trace.samples[-1][kind]
+    prev = trace.samples[-2][kind]
     dlog = math.log(abs(trace.epsilon_samples[-1])) - math.log(abs(trace.epsilon_samples[-2]))
     counts: dict[Fraction, int] = {}
-    for rec_prev, rec_last in zip(prev, last):
-        slope = (rec_last.log_magnitude - rec_prev.log_magnitude) / dlog
+    for k, slope in enumerate(((last.logs - prev.logs) / dlog).tolist()):
         best = min(admissible, key=lambda e: abs(slope - float(e)))
         if abs(slope - float(best)) > CLASSIFY_TOLERANCE:
-            raise UnclassifiedFactor(rec_last.indices, slope, admissible)
+            raise UnclassifiedFactor(last.factors[k].indices, slope, admissible)
         counts[best] = counts.get(best, 0) + 1
     return FactorHistogram(kind, dict(sorted(counts.items())))
 
@@ -395,7 +395,7 @@ class ClusterReport:
 def cluster_scaling(
     line: GenericLine,
     eps_pair: tuple[float, float] = (1e-3, 1e-4),
-    steps: int = 32,
+    steps: int = DEFAULT_STEPS,
 ) -> ClusterReport:
     """Measure the per-depth critical-value gap exponents against (a_i+1)/a_i.
 
@@ -510,7 +510,7 @@ def verify_all(
     preset: str = "linear",
     grid: Optional[EpsilonGrid] = None,
     mu_cap: int = DEFAULT_MU_CAP,
-    steps: int = 32,
+    steps: int = DEFAULT_STEPS,
     line: Optional[GenericLine] = None,
     jitter_seed: Optional[int] = None,
 ) -> MultiplicityReport:

@@ -10,8 +10,17 @@ Products are accumulated as sums of log-magnitudes; raw products underflow
 immediately (756 factors of size |eps|^(4/3) at mu = 9).  Factors below the
 roundoff scale are recorded as exact zeros instead of being folded into the
 total, so a structurally degenerate line is detected rather than averaged
-away.  Tuple enumeration is lexicographic and fixed, which keeps traces
-byte-for-byte reproducible.
+away.
+
+The three tuple products share one kernel: each factor is sum_k c_k * v[idx_k]
+with the coefficient row (1, -1), (2, -1, -1) or (1, 1, -1, -1), over numpy
+index rows in fixed lexicographic tuple order, which keeps traces byte-for-byte
+reproducible.  Results are bit-identical to a scalar loop over the same tuples:
+the row applies left to right; a mirrored D or Omega configuration is the exact
+negation of one evaluated once; magnitudes come from np.hypot, logs from
+math.log per factor, and each total is a left-to-right sum() in tuple order
+(numpy's abs, log and sum change the last bits).  FactorRecords are built only
+when LogProduct.factors is read.
 """
 
 from __future__ import annotations
@@ -21,10 +30,13 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .closed_forms import binom12, binom22
-from .critical_tracker import CriticalPointSet, GenericLine, critical_set, line_function
+from .critical_tracker import DEFAULT_STEPS, CriticalPointSet, GenericLine, critical_set, line_function
 from .polyalg import SparsePoly, hessian_det_at
 
 __all__ = [
@@ -54,11 +66,7 @@ class Kind(str, Enum):
 
 @dataclass(frozen=True)
 class FactorRecord:
-    """One multiplicand: its tuple of point labels and log|factor|.
-
-    log_magnitude is None exactly when the factor fell below the zero
-    threshold.
-    """
+    """One multiplicand: its point labels and log|factor|, None below the zero threshold."""
 
     kind: Kind
     indices: tuple
@@ -69,21 +77,43 @@ class FactorRecord:
         return self.log_magnitude is None
 
 
-@dataclass(frozen=True)
+# kind -> (size of the first group, size of the second group, coefficient row)
+_TUPLES = {
+    Kind.D_PAIR: (1, 1, (1, -1)),
+    Kind.Y_TRIPLE: (1, 2, (2, -1, -1)),
+    Kind.OMEGA_QUAD: (2, 2, (1, 1, -1, -1)),
+}
+
+
+@dataclass(frozen=True, eq=False)
 class LogProduct:
-    """Total log-magnitude of one product plus its factor records."""
+    """Total log-magnitude of one product plus its per-factor logs.
+
+    logs[k] is log|factor k|, NaN where the factor fell below the zero
+    threshold; rows[k] holds the positions in ``labels`` of its points.
+    """
 
     kind: Kind
     total: float  # sum over non-zero factors
-    factors: tuple[FactorRecord, ...]
+    logs: np.ndarray
+    rows: np.ndarray
+    labels: tuple
+
+    @cached_property
+    def factors(self) -> tuple[FactorRecord, ...]:
+        """One record per factor, built on first access."""
+        return tuple(
+            FactorRecord(self.kind, tuple(self.labels[i] for i in row), None if math.isnan(log) else log)
+            for row, log in zip(self.rows.tolist(), self.logs.tolist())
+        )
 
     @property
     def zero_count(self) -> int:
-        return sum(1 for f in self.factors if f.is_zero)
+        return int(np.isnan(self.logs).sum())
 
     @property
     def has_zero(self) -> bool:
-        return any(f.is_zero for f in self.factors)
+        return bool(np.isnan(self.logs).any())
 
 
 def factor_count(kind: Kind, mu: int) -> int:
@@ -96,99 +126,72 @@ def factor_count(kind: Kind, mu: int) -> int:
     return mu
 
 
-def _default_labels(values: Sequence[complex]) -> list:
-    return list(range(len(values)))
+def _log_product(kind: Kind, factors: np.ndarray, scale_values, rows, labels, source=None) -> LogProduct:
+    """Zero threshold (scaled by max |scale_values|), logs and total in row order."""
+    threshold = ZERO_COEF * max((abs(v) for v in scale_values), default=0.0)
+    magnitudes = np.hypot(factors.real, factors.imag)
+    logs = np.full(len(magnitudes), np.nan)
+    kept = magnitudes > threshold
+    logs[kept] = list(map(math.log, magnitudes[kept].tolist()))
+    if source is not None:
+        logs = logs[source]
+    total = float(sum(logs[~np.isnan(logs)].tolist()))
+    return LogProduct(kind, total, logs, rows, tuple(labels))
 
 
-def _zero_threshold(values: Sequence[complex]) -> float:
-    scale = max((abs(v) for v in values), default=0.0)
-    return ZERO_COEF * scale
+def _groups(mu: int, size: int) -> np.ndarray:
+    return np.array(list(itertools.combinations(range(mu), size)), dtype=np.intp).reshape(-1, size)
 
 
-def _record(kind: Kind, indices: tuple, factor: complex, threshold: float) -> FactorRecord:
-    magnitude = abs(factor)
-    if magnitude <= threshold:
-        return FactorRecord(kind, indices, None)
-    return FactorRecord(kind, indices, math.log(magnitude))
-
-
-def _assemble(kind: Kind, records: list[FactorRecord]) -> LogProduct:
-    total = sum(r.log_magnitude for r in records if r.log_magnitude is not None)
-    return LogProduct(kind, float(total), tuple(records))
+def _tuple_product(kind: Kind, values: Sequence[complex], labels: Optional[Sequence]) -> LogProduct:
+    """Product over the kind's lexicographic tuples of sum_k c_k * v[idx_k]."""
+    first, second, coefs = _TUPLES[kind]
+    mu = len(values)
+    g1, g2 = _groups(mu, first), _groups(mu, second)
+    a, b = np.nonzero((g1[:, None, :, None] != g2[None, :, None, :]).all(axis=(2, 3)))
+    rows = np.hstack([g1[a], g2[b]])
+    # with equal group sizes, swapping the groups negates the factor: evaluate each
+    # configuration once, at its smaller key; ``source`` maps every row to it
+    key = a * len(g2) + b
+    canonical = np.minimum(key, b * len(g2) + a) if first == second else key
+    forward = canonical == key
+    v = np.asarray(values, dtype=complex)
+    picked = rows[forward]
+    factors = coefs[0] * v[picked[:, 0]]
+    for coef, column in zip(coefs[1:], picked.T[1:]):
+        factors = factors + coef * v[column]
+    source = np.searchsorted(key[forward], canonical)
+    labels = range(mu) if labels is None else labels
+    return _log_product(kind, factors, values, rows, labels, source)
 
 
 def log_D(values: Sequence[complex], labels: Optional[Sequence] = None) -> LogProduct:
     """Product over ordered pairs i != j of v_i - v_j."""
-    labels = list(labels) if labels is not None else _default_labels(values)
-    threshold = _zero_threshold(values)
-    records = []
-    for i in range(len(values)):
-        for j in range(len(values)):
-            if i != j:
-                records.append(
-                    _record(Kind.D_PAIR, (labels[i], labels[j]), values[i] - values[j], threshold)
-                )
-    return _assemble(Kind.D_PAIR, records)
+    return _tuple_product(Kind.D_PAIR, values, labels)
 
 
 def log_Y(values: Sequence[complex], labels: Optional[Sequence] = None) -> LogProduct:
-    """Product over distinguished-point triples of 2*v_1 - v_2 - v_3.
-
-    The first point is distinguished, the remaining two are unordered.
-    """
-    labels = list(labels) if labels is not None else _default_labels(values)
-    threshold = _zero_threshold(values)
-    records = []
-    mu = len(values)
-    for i in range(mu):
-        others = [k for k in range(mu) if k != i]
-        for j, k in itertools.combinations(others, 2):
-            factor = 2 * values[i] - values[j] - values[k]
-            records.append(
-                _record(Kind.Y_TRIPLE, (labels[i], labels[j], labels[k]), factor, threshold)
-            )
-    return _assemble(Kind.Y_TRIPLE, records)
+    """Product over triples (distinguished v_1, unordered v_2, v_3) of 2*v_1 - v_2 - v_3."""
+    return _tuple_product(Kind.Y_TRIPLE, values, labels)
 
 
 def log_Omega(values: Sequence[complex], labels: Optional[Sequence] = None) -> LogProduct:
     """Product over ordered pairs of disjoint unordered pairs of v1+v2-v3-v4."""
-    labels = list(labels) if labels is not None else _default_labels(values)
-    threshold = _zero_threshold(values)
-    records = []
-    pairs = list(itertools.combinations(range(len(values)), 2))
-    # each unordered configuration is computed once and emitted in both pair
-    # orders as exact negations, so reversing the order flips only the sign
-    forward: dict[tuple, complex] = {}
-    for p1 in pairs:
-        for p2 in pairs:
-            if p1 == p2 or set(p1) & set(p2):
-                continue
-            if p1 < p2:
-                factor = values[p1[0]] + values[p1[1]] - values[p2[0]] - values[p2[1]]
-                forward[(p1, p2)] = factor
-            else:
-                factor = -forward[(p2, p1)]
-            indices = (labels[p1[0]], labels[p1[1]], labels[p2[0]], labels[p2[1]])
-            records.append(_record(Kind.OMEGA_QUAD, indices, factor, threshold))
-    return _assemble(Kind.OMEGA_QUAD, records)
+    return _tuple_product(Kind.OMEGA_QUAD, values, labels)
 
 
 def log_hessian_product(f_eps: SparsePoly, points: CriticalPointSet) -> LogProduct:
     """Product over the critical points of |det Hess(f - eps*phi)|."""
     dets = [hessian_det_at(f_eps, p.coords) for p in points.points]
-    threshold = _zero_threshold(dets)
-    records = [
-        _record(Kind.HESSIAN, (p.label,), det, threshold)
-        for p, det in zip(points.points, dets)
-    ]
-    return _assemble(Kind.HESSIAN, records)
+    rows = np.arange(len(dets))[:, None]
+    return _log_product(Kind.HESSIAN, np.array(dets, dtype=complex), dets, rows, points.labels())
 
 
 def products_at(
     line: GenericLine,
     eps: complex,
     kinds: Sequence[Kind],
-    steps: int = 32,
+    steps: int = DEFAULT_STEPS,
     points: Optional[CriticalPointSet] = None,
 ) -> dict[Kind, LogProduct]:
     """Evaluate the requested products at one ray parameter."""
@@ -209,10 +212,8 @@ def products_at(
         else:
             raise ValueError(f"unknown product kind {kind}")
         expected = factor_count(kind, line.a.mu)
-        if len(out[kind].factors) != expected:
-            raise AssertionError(
-                f"{kind.value}: {len(out[kind].factors)} factors, expected {expected}"
-            )
+        if len(out[kind].logs) != expected:
+            raise AssertionError(f"{kind.value}: {len(out[kind].logs)} factors, expected {expected}")
     return out
 
 
@@ -235,9 +236,8 @@ class LogProductTrace:
 
     def first_zero(self, kind: Kind) -> Optional[FactorRecord]:
         for s in self.samples:
-            for record in s[kind].factors:
-                if record.is_zero:
-                    return record
+            if s[kind].has_zero:
+                return s[kind].factors[int(np.isnan(s[kind].logs).argmax())]
         return None
 
 
@@ -245,11 +245,9 @@ def evaluate_trace(
     line: GenericLine,
     eps_samples: Sequence[complex],
     kinds: Sequence[Kind],
-    steps: int = 32,
+    steps: int = DEFAULT_STEPS,
 ) -> LogProductTrace:
     kinds = list(kinds)
-    samples = []
-    for eps in eps_samples:
-        samples.append(products_at(line, eps, kinds, steps))
+    samples = tuple(products_at(line, eps, kinds, steps) for eps in eps_samples)
     counts = {kind: factor_count(kind, line.a.mu) for kind in kinds}
-    return LogProductTrace(tuple(eps_samples), tuple(samples), counts)
+    return LogProductTrace(tuple(eps_samples), samples, counts)

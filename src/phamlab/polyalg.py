@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -18,10 +17,7 @@ from .closed_forms import ExponentVector
 
 __all__ = [
     "SparsePoly",
-    "PhamFunction",
     "NonConvergence",
-    "evaluate",
-    "gradient",
     "hessian_det_at",
     "univariate_roots",
 ]
@@ -153,10 +149,6 @@ class SparsePoly:
                 out[key] = out.get(key, 0j) + coef * e
         return SparsePoly(self.n_vars, out)
 
-    def support(self) -> set[int]:
-        """Indices of variables that actually occur."""
-        return {i for exp in self.terms for i, e in enumerate(exp) if e}
-
     def evaluate(self, z: Sequence[complex]) -> complex:
         if len(z) != self.n_vars:
             raise ValueError(f"point has {len(z)} coordinates, polynomial has {self.n_vars}")
@@ -203,46 +195,6 @@ class SparsePoly:
         except (KeyError, TypeError) as err:
             raise ValueError(f"malformed polynomial literal: {err}") from err
         return cls(n, terms)
-
-
-@dataclass(frozen=True)
-class PhamFunction:
-    """f = sum_i z_i^(a_i+1), optionally with the 1/(a_i+1) normalization.
-
-    Normalized, the i-th partial derivative is exactly z_i^(a_i): the
-    derivative is produced symbolically with unit coefficient rather than by
-    multiplying 1/(a_i+1) back, so no rounding enters.
-    """
-
-    a: ExponentVector
-    normalized: bool = True
-
-    def to_sparse(self) -> SparsePoly:
-        n = self.a.n
-        terms = {}
-        for i, ai in enumerate(self.a):
-            exp = [0] * n
-            exp[i] = ai + 1
-            terms[tuple(exp)] = 1.0 / (ai + 1) if self.normalized else 1.0
-        return SparsePoly(n, terms)
-
-    def gradient_polys(self) -> list[SparsePoly]:
-        n = self.a.n
-        out = []
-        for i, ai in enumerate(self.a):
-            exp = [0] * n
-            exp[i] = ai
-            coef = 1.0 if self.normalized else float(ai + 1)
-            out.append(SparsePoly.monomial(n, tuple(exp), coef))
-        return out
-
-
-def evaluate(p: SparsePoly, z: Sequence[complex]) -> complex:
-    return p.evaluate(z)
-
-
-def gradient(p: SparsePoly) -> list[SparsePoly]:
-    return [p.diff(i) for i in range(p.n_vars)]
 
 
 def hessian_det_at(p: SparsePoly, z: Sequence[complex]) -> complex:

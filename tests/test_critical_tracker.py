@@ -15,7 +15,6 @@ from phamlab.critical_tracker import (
     default_line,
     jittered_line,
     line_function,
-    phi_ladder,
     separable_critical_set,
     track_to_phi,
 )
@@ -200,27 +199,6 @@ class TestTracking:
         assert critical_set(linear, EPS) == separable_critical_set(linear, EPS)
         coupled = default_line((3, 3), "xy_coupled")
         assert len(critical_set(coupled, EPS).points) == 9
-
-
-class TestPhiLadder:
-    def test_xy_tail_enters_at_depth_two(self):
-        line = default_line((3, 3), "xy_coupled")
-        ladder = phi_ladder(line)
-        assert len(ladder) == 3
-        assert ladder[0] == SparsePoly.linear(line.q)
-        assert ladder[1] == ladder[0]  # x*y depends on the second variable
-        assert ladder[2] == line.phi()
-
-    def test_empty_tail_constant_ladder(self):
-        line = default_line((5, 3))
-        ladder = phi_ladder(line)
-        assert all(p == ladder[0] for p in ladder)
-
-    def test_one_variable_quadratic(self):
-        line = default_line((4,), "quadratic_1d")
-        phi0, phi1 = phi_ladder(line)
-        assert phi0 == SparsePoly.linear((1.0,))
-        assert phi1 == line.phi()
 
 
 class TestLineFunction:

@@ -1,13 +1,18 @@
 """Product-evaluation tests: hand enumerations, symmetries, structural zeros."""
 
 import cmath
+import itertools
 import math
+import random
 
 import pytest
 
+from phamlab import discriminant_products
 from phamlab.closed_forms import binom12, binom22
 from phamlab.critical_tracker import critical_set, default_line, line_function
+from phamlab.degree_lab import verify_all
 from phamlab.discriminant_products import (
+    ZERO_COEF,
     Kind,
     evaluate_trace,
     factor_count,
@@ -156,3 +161,80 @@ class TestProductsAt:
         s12 = (totals[2] - totals[1]) / (math.log(mags[2]) - math.log(mags[1]))
         assert s01 == pytest.approx(8.0, abs=1e-9)
         assert s12 == pytest.approx(8.0, abs=1e-9)
+
+
+def reference_products(values):
+    """Scalar loops over the tuples: (indices, log|factor| or None) per factor."""
+    mu = len(values)
+    threshold = ZERO_COEF * max((abs(v) for v in values), default=0.0)
+
+    def record(indices, factor):
+        magnitude = abs(factor)
+        return indices, (None if magnitude <= threshold else math.log(magnitude))
+
+    pairs = [
+        record((i, j), values[i] - values[j]) for i in range(mu) for j in range(mu) if i != j
+    ]
+    triples = [
+        record((i, j, k), 2 * values[i] - values[j] - values[k])
+        for i in range(mu)
+        for j, k in itertools.combinations([x for x in range(mu) if x != i], 2)
+    ]
+    quads, forward = [], {}
+    couples = list(itertools.combinations(range(mu), 2))
+    for p1 in couples:
+        for p2 in couples:
+            if set(p1) & set(p2):
+                continue
+            if p1 < p2:
+                forward[p1, p2] = values[p1[0]] + values[p1[1]] - values[p2[0]] - values[p2[1]]
+                quads.append(record(p1 + p2, forward[p1, p2]))
+            else:
+                quads.append(record(p1 + p2, -forward[p2, p1]))
+    return {Kind.D_PAIR: pairs, Kind.Y_TRIPLE: triples, Kind.OMEGA_QUAD: quads}
+
+
+def planted_values(mu, plant, seed):
+    rng = random.Random(seed)
+    v = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 1e-3 for _ in range(mu)]
+    if plant == "equal_pair":
+        v[1] = v[0]
+    elif plant == "progression":
+        v[2] = (v[0] + v[1]) / 2
+    elif plant == "parallelogram":
+        v[3] = v[0] + v[1] - v[2]
+    return v
+
+
+KERNELS = {Kind.D_PAIR: log_D, Kind.Y_TRIPLE: log_Y, Kind.OMEGA_QUAD: log_Omega}
+PLANTS = {None: 1, "equal_pair": 2, "progression": 3, "parallelogram": 4}  # plant -> least mu
+PLANTED_KIND = {"equal_pair": Kind.D_PAIR, "progression": Kind.Y_TRIPLE, "parallelogram": Kind.OMEGA_QUAD}
+
+
+class TestKernelAgainstReference:
+    @pytest.mark.parametrize(
+        "mu, plant", [(mu, plant) for mu in range(1, 9) for plant in PLANTS if mu >= PLANTS[plant]]
+    )
+    def test_bitwise_agreement_in_lexicographic_order(self, mu, plant):
+        values = planted_values(mu, plant, seed=100 * mu + len(plant or ""))
+        labels = [(k, k % 3) for k in range(mu)]
+        expected = reference_products(values)
+        for kind, op in KERNELS.items():
+            result = op(values, labels)
+            ref = expected[kind]
+            assert [f.indices for f in result.factors] == [
+                tuple(labels[i] for i in idx) for idx, _ in ref
+            ]
+            assert [f.log_magnitude for f in result.factors] == [log for _, log in ref]
+            assert result.total == sum(log for _, log in ref if log is not None)
+            assert result.zero_count == sum(log is None for _, log in ref)
+        if plant is not None:
+            assert KERNELS[PLANTED_KIND[plant]](values).has_zero
+
+    def test_verify_builds_no_factor_records(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify must not build factor records")
+
+        monkeypatch.setattr(discriminant_products, "FactorRecord", refuse)
+        report = verify_all((3, 3), "xy_coupled")
+        assert report.all_match

@@ -10,10 +10,7 @@ import pytest
 from phamlab.closed_forms import ExponentVector
 from phamlab.polyalg import (
     NonConvergence,
-    PhamFunction,
     SparsePoly,
-    evaluate,
-    gradient,
     hessian_det_at,
     univariate_roots,
 )
@@ -22,18 +19,18 @@ from phamlab.polyalg import (
 class TestEvaluate:
     def test_square(self):
         p = SparsePoly(1, {(2,): 1.0})
-        assert evaluate(p, [3.0]) == 9.0
+        assert p.evaluate([3.0]) == 9.0
 
     def test_bilinear(self):
         p = SparsePoly(2, {(1, 1): 1.0})
-        assert evaluate(p, [2.0, 5j]) == 10j
+        assert p.evaluate([2.0, 5j]) == 10j
 
     def test_empty(self):
-        assert evaluate(SparsePoly.zero(3), [1.0, 2.0, 3.0]) == 0
+        assert SparsePoly.zero(3).evaluate([1.0, 2.0, 3.0]) == 0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            evaluate(SparsePoly(2, {(1, 0): 1.0}), [1.0])
+            SparsePoly(2, {(1, 0): 1.0}).evaluate([1.0])
 
     def test_batch_matches_scalar(self):
         p = SparsePoly(2, {(2, 1): 1.5 - 0.5j, (0, 3): 2.0, (1, 0): -1j})
@@ -46,18 +43,16 @@ class TestEvaluate:
 class TestGradient:
     def test_cube(self):
         p = SparsePoly(1, {(3,): 1.0})
-        (g,) = gradient(p)
-        assert g == SparsePoly(1, {(2,): 3.0})
+        assert p.diff(0) == SparsePoly(1, {(2,): 3.0})
 
     def test_x2y(self):
         p = SparsePoly(2, {(2, 1): 1.0})
-        gx, gy = gradient(p)
-        assert gx == SparsePoly(2, {(1, 1): 2.0})
-        assert gy == SparsePoly(2, {(2, 0): 1.0})
+        assert p.diff(0) == SparsePoly(2, {(1, 1): 2.0})
+        assert p.diff(1) == SparsePoly(2, {(2, 0): 1.0})
 
     def test_constant(self):
         p = SparsePoly(2, {(0, 0): 4.0})
-        assert all(g.is_zero() for g in gradient(p))
+        assert p.diff(0).is_zero() and p.diff(1).is_zero()
 
     def test_linearity(self):
         rng = random.Random(7)
@@ -87,23 +82,6 @@ class TestHessian:
     def test_coupled_saddle(self):
         p = SparsePoly(2, {(4, 0): 0.25, (0, 4): 0.25, (1, 1): 1.0})
         assert hessian_det_at(p, [0.0, 0.0]) == -1.0
-
-
-class TestPhamFunction:
-    def test_normalized_gradient_is_exact_monomial(self):
-        f = PhamFunction(ExponentVector((5, 3)))
-        gx, gy = f.gradient_polys()
-        assert gx.terms == {(5, 0): 1.0 + 0j}
-        assert gy.terms == {(0, 3): 1.0 + 0j}
-
-    def test_sparse_form(self):
-        f = PhamFunction(ExponentVector((3,)))
-        assert f.to_sparse() == SparsePoly(1, {(4,): 0.25})
-
-    def test_unnormalized(self):
-        f = PhamFunction(ExponentVector((2,)), normalized=False)
-        assert f.to_sparse() == SparsePoly(1, {(3,): 1.0})
-        assert f.gradient_polys()[0] == SparsePoly(1, {(2,): 3.0})
 
 
 class TestVersalBox:
