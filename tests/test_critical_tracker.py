@@ -18,7 +18,7 @@ from phamlab.critical_tracker import (
     separable_critical_set,
     track_to_phi,
 )
-from phamlab.polyalg import SparsePoly
+from phamlab.polyalg import SparsePoly, univariate_roots
 
 EPS = 1e-3 * cmath.exp(0.37j)
 
@@ -213,3 +213,24 @@ class TestLineFunction:
             - eps * (z[0] + line.q[1] * z[1] + line.q[1] * z[0] * z[1])
         )
         assert abs(p.evaluate(z) - manual) < 1e-16
+
+
+class TestRootFinderOracle:
+    """Tracked points for one variable against the roots of the gradient.
+
+    With quadratic_1d the gradient of f - eps*phi is z^a - eps*(1 + 2z); its
+    roots come from univariate_roots, which shares no code with the tracker.
+    """
+
+    @pytest.mark.parametrize("a", [4, 6, 8])
+    @pytest.mark.parametrize("magnitude", [1e-2, 1e-3, 1e-4])
+    def test_tracked_points_are_the_gradient_roots(self, a, magnitude):
+        eps = magnitude * cmath.exp(0.37j)
+        tracked = track_to_phi(default_line((a,), "quadratic_1d"), eps).coords_array()[:, 0]
+        roots = np.array(univariate_roots([-eps, -2 * eps] + [0.0] * (a - 2) + [1.0]))
+        dist = np.abs(tracked[:, None] - roots[None, :])
+        nearest = dist.argmin(axis=1)
+        assert sorted(nearest.tolist()) == list(range(a))  # one to one
+        assert dist.min(axis=1).max() <= 1e-12
+        gaps = np.abs(roots[:, None] - roots[None, :]) + np.diag(np.full(a, np.inf))
+        assert gaps.min() > 1e3 * dist.min(axis=1).max()

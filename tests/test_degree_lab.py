@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from phamlab import degree_lab
 from phamlab.closed_forms import binom12, mixed_depth_counts
 from phamlab.critical_tracker import GenericLine, default_line
 from phamlab.degree_lab import (
     ClusterReport,
+    DegreeEstimate,
     EpsilonGrid,
     Kind,
     UnclassifiedFactor,
@@ -239,3 +241,82 @@ class TestVerifyAll:
                 assert value is None or isinstance(value, (int, float))
                 if isinstance(value, float):
                     assert math.isfinite(value)
+
+
+def _synthetic(kind, verdict, snapped=None, extrapolated=math.nan, hint=None):
+    return DegreeEstimate(
+        kind=kind,
+        eps_magnitudes=(),
+        log_totals=(),
+        slopes=(),
+        extrapolated=extrapolated,
+        snapped=snapped,
+        residual=math.nan,
+        predicted=None,
+        verdict=verdict,
+        degenerate_hint=hint,
+    )
+
+
+class TestDerivedRows:
+    """Maxwell and pure-Stokes rows built from synthetic estimates for a = (3,).
+
+    Closed forms: L = 8, C = 2, M = 1, mixed Stokes 4, pure Stokes 0.
+    """
+
+    @staticmethod
+    def rows(monkeypatch, **overrides):
+        estimates = {
+            Kind.D_PAIR: _synthetic(Kind.D_PAIR, Verdict.MATCH, 8, 8.0),
+            Kind.HESSIAN: _synthetic(Kind.HESSIAN, Verdict.MATCH, 2, 2.0),
+            Kind.Y_TRIPLE: _synthetic(Kind.Y_TRIPLE, Verdict.MATCH, 4, 4.0),
+            Kind.OMEGA_QUAD: _synthetic(Kind.OMEGA_QUAD, Verdict.MATCH, 0, 0.0),
+        }
+        for name, est in overrides.items():
+            estimates[Kind[name]] = est
+        monkeypatch.setattr(degree_lab, "estimate_from_trace", lambda trace, kind, a: estimates[kind])
+        return {r.quantity: r for r in verify_all((3,)).rows}
+
+    def test_all_match(self, monkeypatch):
+        rows = self.rows(monkeypatch)
+        assert (rows["maxwell"].snapped, rows["maxwell"].verdict) == (1, "Match")
+        assert (rows["pure_stokes"].snapped, rows["pure_stokes"].verdict) == (0, "Match")
+
+    def test_degenerate_wins_over_inconclusive(self, monkeypatch):
+        rows = self.rows(
+            monkeypatch,
+            D_PAIR=_synthetic(Kind.D_PAIR, Verdict.INCONCLUSIVE),
+            HESSIAN=_synthetic(Kind.HESSIAN, Verdict.DEGENERATE, hint="hessian zero"),
+        )
+        row = rows["maxwell"]
+        assert row.verdict == "Degenerate"
+        assert row.hint == "hessian zero"
+        assert (row.estimate, row.snapped, row.residual) == (None, None, None)
+
+    def test_hint_from_first_degenerate_input(self, monkeypatch):
+        rows = self.rows(
+            monkeypatch,
+            D_PAIR=_synthetic(Kind.D_PAIR, Verdict.DEGENERATE, hint="pair zero"),
+            HESSIAN=_synthetic(Kind.HESSIAN, Verdict.DEGENERATE, hint="hessian zero"),
+        )
+        assert rows["maxwell"].verdict == "Degenerate"
+        assert rows["maxwell"].hint == "pair zero"
+
+    def test_odd_remainder_gives_half_integer_mismatch(self, monkeypatch):
+        # D - 3C = 9 - 6 = 3 is odd, so the Maxwell snap is 1.5
+        rows = self.rows(monkeypatch, D_PAIR=_synthetic(Kind.D_PAIR, Verdict.MATCH, 9, 9.02))
+        row = rows["maxwell"]
+        assert row.snapped == 1.5 and isinstance(row.snapped, float)
+        assert row.estimate == pytest.approx(1.51)
+        assert row.residual == pytest.approx(0.51)
+        assert row.verdict == "Mismatch"
+
+    def test_inconclusive_omega_has_no_hint(self, monkeypatch):
+        rows = self.rows(
+            monkeypatch,
+            OMEGA_QUAD=_synthetic(Kind.OMEGA_QUAD, Verdict.INCONCLUSIVE, hint="stale"),
+        )
+        row = rows["pure_stokes"]
+        assert row.verdict == "Inconclusive"
+        assert row.hint is None
+        assert (row.estimate, row.snapped, row.residual) == (None, None, None)
