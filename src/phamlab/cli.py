@@ -3,7 +3,8 @@
 Subcommands: mult (closed forms), verify (numeric verification table),
 cluster (value-gap scaling), trace (factor CSV dump), presets.
 
-Exit codes: 0 pass, 2 usage error, 3 degenerate line, 4 numeric failure.
+Exit codes: 0 pass, 1 a verify row is Mismatch or Inconclusive or a cluster
+level fails, 2 usage error, 3 degenerate line, 4 numeric failure.
 Identical invocations produce identical bytes; randomness enters only through
 an explicit --jitter seed.
 """

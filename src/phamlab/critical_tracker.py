@@ -17,7 +17,7 @@ import cmath
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -100,8 +100,11 @@ class GenericLine:
                 )
         if self.phi_tail.n_vars != n:
             raise ValueError("tail variable count does not match the exponents")
-        # box check plus exclusion of constant/linear monomials
-        SparsePoly(n, self.phi_tail.terms, versal_box=self.a)
+        for exp in self.phi_tail.terms:
+            if all(e == 0 for e in exp):
+                raise ValueError("constant term not allowed inside the versal box")
+            if any(e > exps[i] - 1 for i, e in enumerate(exp)):
+                raise ValueError(f"exponent {exp} outside the versal box {exps}")
         for exp in self.phi_tail.terms:
             if sum(exp) < 2:
                 raise ValueError(f"tail monomial {exp} belongs to the linear part")
@@ -269,15 +272,13 @@ def _tail_derivative_polys(line: GenericLine):
     return grads, hessians
 
 
-def _gradient_residuals(line: GenericLine, eps: complex, coords: np.ndarray, s: float = 1.0) -> np.ndarray:
-    exps = np.array(line.a.a)
-    q = np.array(line.q)
-    grads, _ = _tail_derivative_polys(line)
-    g = coords**exps - eps * q[None, :]
-    for i in range(line.n):
-        if not grads[i].is_zero():
-            g[:, i] -= eps * s * grads[i].eval_batch(coords)
-    return np.sqrt((np.abs(g) ** 2).sum(axis=1))
+def _gradient(z: np.ndarray, exps: np.ndarray, eps_q: np.ndarray, eps_s: complex, grads) -> np.ndarray:
+    """Gradient of f - eps*phi_0 - eps*s*tail at the rows of z; eps_q is the row eps*q, eps_s is eps*s."""
+    g = z**exps - eps_q
+    for i, grad in enumerate(grads):
+        if not grad.is_zero():
+            g[:, i] -= eps_s * grad.eval_batch(z)
+    return g
 
 
 def _values_at(line: GenericLine, eps: complex, coords: np.ndarray) -> np.ndarray:
@@ -302,7 +303,9 @@ def _validate_set(line: GenericLine, eps: complex, cps: CriticalPointSet) -> Non
         raise TrackerError("label set is not an exhaustive enumeration")
     coords = cps.coords_array()
     residual_bound = GRADIENT_RESIDUAL_COEF * max(1.0, abs(eps))
-    worst = float(_gradient_residuals(line, eps, coords).max())
+    grads, _ = _tail_derivative_polys(line)
+    g = _gradient(coords, np.array(line.a.a), eps * np.array(line.q)[None, :], eps, grads)
+    worst = float(np.sqrt((np.abs(g) ** 2).sum(axis=1)).max())
     if worst > residual_bound:
         raise TrackerError(f"gradient residual {worst:.3e} exceeds {residual_bound:.3e}")
     if mu > 1:
@@ -313,21 +316,20 @@ def _validate_set(line: GenericLine, eps: complex, cps: CriticalPointSet) -> Non
 
 def _newton_correct(line, eps: complex, s: float, coords: np.ndarray, grads, hessians) -> np.ndarray:
     exps = np.array(line.a.a)
-    q = np.array(line.q)
+    eps_q = eps * np.array(line.q)[None, :]
+    eps_s = eps * s
     n = line.n
     mu = coords.shape[0]
     z = coords.copy()
     for _ in range(NEWTON_MAX_ITERATIONS):
-        g = z**exps - eps * q[None, :]
+        g = _gradient(z, exps, eps_q, eps_s, grads)
         jac = np.zeros((mu, n, n), dtype=complex)
         for i in range(n):
-            if not grads[i].is_zero():
-                g[:, i] -= eps * s * grads[i].eval_batch(z)
             jac[:, i, i] = exps[i] * z[:, i] ** (exps[i] - 1)
             for j in range(n):
                 h = hessians[i][j]
                 if not h.is_zero():
-                    jac[:, i, j] -= eps * s * h.eval_batch(z)
+                    jac[:, i, j] -= eps_s * h.eval_batch(z)
         try:
             delta = np.linalg.solve(jac, g[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as err:
@@ -353,13 +355,13 @@ def _run_homotopy(line, eps: complex, start: np.ndarray, steps: int, floor: np.n
     return z
 
 
-def track_to_phi(line: GenericLine, eps: complex, steps: int = DEFAULT_STEPS) -> CriticalPointSet:
+def track_to_phi(line: GenericLine, eps: complex) -> CriticalPointSet:
     """Track the labelled points from the linear direction to the full phi.
 
-    The family f - eps*(phi_0 + t*tail) is stepped over a uniform t-grid with
-    Newton correction of the gradient system; labels are inherited from t = 0.
-    On a path collision the step count is doubled and the run retried, up to
-    three doublings.
+    The family f - eps*(phi_0 + t*tail) is stepped over a uniform t-grid of
+    DEFAULT_STEPS steps with Newton correction of the gradient system; labels
+    are inherited from t = 0.  On a path collision the step count is doubled
+    and the run retried, up to three doublings.
     """
     if line.phi_tail.is_zero():
         return separable_critical_set(line, eps)
@@ -382,7 +384,7 @@ def track_to_phi(line: GenericLine, eps: complex, steps: int = DEFAULT_STEPS) ->
                 continue
             forcing = float(np.abs(g.eval_batch(coords0)).max()) * abs(eps)
             jac_scale = ai * abs(line.q[i] * eps) ** ((ai - 1) / ai)
-            basin = max(basin, forcing / jac_scale / steps)
+            basin = max(basin, forcing / jac_scale / DEFAULT_STEPS)
         if min_gap <= 10.0 * basin:
             raise TrackerError(
                 f"separable clusters too close for tracking: gap {min_gap:.3e} "
@@ -396,7 +398,7 @@ def track_to_phi(line: GenericLine, eps: complex, steps: int = DEFAULT_STEPS) ->
     coords = None
     for attempt in range(MAX_STEP_DOUBLINGS + 1):
         try:
-            coords = _run_homotopy(line, eps, coords0, steps << attempt, floor)
+            coords = _run_homotopy(line, eps, coords0, DEFAULT_STEPS << attempt, floor)
             break
         except PathCollision as err:
             last_error = err
@@ -414,8 +416,8 @@ def track_to_phi(line: GenericLine, eps: complex, steps: int = DEFAULT_STEPS) ->
     return result
 
 
-def critical_set(line: GenericLine, eps: complex, steps: int = DEFAULT_STEPS) -> CriticalPointSet:
+def critical_set(line: GenericLine, eps: complex) -> CriticalPointSet:
     """Closed form for empty tails, homotopy tracking otherwise."""
     if line.phi_tail.is_zero():
         return separable_critical_set(line, eps)
-    return track_to_phi(line, eps, steps)
+    return track_to_phi(line, eps)

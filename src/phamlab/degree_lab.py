@@ -15,13 +15,12 @@ import cmath
 import itertools
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .closed_forms import (
-    ExponentVector,
     ExponentsLike,
     _ev,
     binom22,
@@ -34,12 +33,9 @@ from .closed_forms import (
     pure_stokes_multiplicity,
 )
 from .critical_tracker import (
-    DEFAULT_STEPS,
     GenericLine,
-    TrackerError,
     critical_set,
     default_line,
-    jittered_line,
 )
 from .discriminant_products import (
     FactorRecord,
@@ -189,40 +185,23 @@ def estimate_from_trace(trace: LogProductTrace, kind: Kind, a: ExponentsLike) ->
     mags = tuple(abs(e) for e in trace.epsilon_samples)
     totals = tuple(trace.totals(kind))
     predicted = predicted_total_degree(ev, kind)
+    slopes: tuple[float, ...] = ()
+    extrapolated, snapped, residual, hint = math.nan, None, math.nan, None
     if trace.has_zero(kind):
-        record = trace.first_zero(kind)
-        return DegreeEstimate(
-            kind=kind,
-            eps_magnitudes=mags,
-            log_totals=totals,
-            slopes=(),
-            extrapolated=math.nan,
-            snapped=None,
-            residual=math.nan,
-            predicted=predicted,
-            verdict=Verdict.DEGENERATE,
-            degenerate_hint=_zero_hint(record),
-        )
-    slopes = tuple(_pairwise_slopes(mags, totals))
-    if _non_monotone_beyond(slopes, INCONCLUSIVE_SPREAD):
-        return DegreeEstimate(
-            kind=kind,
-            eps_magnitudes=mags,
-            log_totals=totals,
-            slopes=slopes,
-            extrapolated=math.nan,
-            snapped=None,
-            residual=math.nan,
-            predicted=predicted,
-            verdict=Verdict.INCONCLUSIVE,
-        )
-    extrapolated = _aitken_limit(slopes)
-    snapped = round(extrapolated)
-    residual = abs(extrapolated - snapped)
-    if residual <= MATCH_TOLERANCE and (predicted is None or snapped == predicted):
-        verdict = Verdict.MATCH
+        verdict = Verdict.DEGENERATE
+        hint = _zero_hint(trace.first_zero(kind))
     else:
-        verdict = Verdict.MISMATCH
+        slopes = tuple(_pairwise_slopes(mags, totals))
+        if _non_monotone_beyond(slopes, INCONCLUSIVE_SPREAD):
+            verdict = Verdict.INCONCLUSIVE
+        else:
+            extrapolated = _aitken_limit(slopes)
+            snapped = round(extrapolated)
+            residual = abs(extrapolated - snapped)
+            if residual <= MATCH_TOLERANCE and (predicted is None or snapped == predicted):
+                verdict = Verdict.MATCH
+            else:
+                verdict = Verdict.MISMATCH
     return DegreeEstimate(
         kind=kind,
         eps_magnitudes=mags,
@@ -233,17 +212,13 @@ def estimate_from_trace(trace: LogProductTrace, kind: Kind, a: ExponentsLike) ->
         residual=residual,
         predicted=predicted,
         verdict=verdict,
+        degenerate_hint=hint,
     )
 
 
-def estimate_degree(
-    line: GenericLine,
-    kind: Kind,
-    grid: Optional[EpsilonGrid] = None,
-    steps: int = DEFAULT_STEPS,
-) -> DegreeEstimate:
+def estimate_degree(line: GenericLine, kind: Kind, grid: Optional[EpsilonGrid] = None) -> DegreeEstimate:
     grid = grid or EpsilonGrid(phase=line.phase)
-    trace = evaluate_trace(line, grid.samples(), [kind], steps)
+    trace = evaluate_trace(line, grid.samples(), [kind])
     return estimate_from_trace(trace, kind, line.a)
 
 
@@ -287,7 +262,8 @@ def classify_factors(
     """Snap every factor's decay exponent and count them per exponent.
 
     The slope of each factor is measured between the two smallest samples,
-    where curvature from next-order terms is weakest.
+    where curvature from next-order terms is weakest.  The product restricted
+    to the line is holomorphic, so a non-integer total degree raises ValueError.
     """
     ev = _ev(a)
     if kind is None:
@@ -309,7 +285,10 @@ def classify_factors(
         if abs(slope - float(best)) > CLASSIFY_TOLERANCE:
             raise UnclassifiedFactor(last.factors[k].indices, slope, admissible)
         counts[best] = counts.get(best, 0) + 1
-    return FactorHistogram(kind, dict(sorted(counts.items())))
+    histogram = FactorHistogram(kind, dict(sorted(counts.items())))
+    if histogram.total_degree().denominator != 1:
+        raise ValueError(f"factor exponents sum to {histogram.total_degree()}, not an integer")
+    return histogram
 
 
 def _omega_histogram_two_vars(p: int, q: int) -> dict[Fraction, int]:
@@ -392,11 +371,7 @@ class ClusterReport:
         return all(level.passed for level in self.levels)
 
 
-def cluster_scaling(
-    line: GenericLine,
-    eps_pair: tuple[float, float] = (1e-3, 1e-4),
-    steps: int = DEFAULT_STEPS,
-) -> ClusterReport:
+def cluster_scaling(line: GenericLine, eps_pair: tuple[float, float] = (1e-3, 1e-4)) -> ClusterReport:
     """Measure the per-depth critical-value gap exponents against (a_i+1)/a_i.
 
     At each depth i the gaps between values whose labels share the first i-1
@@ -408,7 +383,7 @@ def cluster_scaling(
     if m1 == m2:
         raise ValueError("the two magnitudes must differ")
     ray = cmath.exp(1j * line.phase)
-    sets = [critical_set(line, m * ray, steps).by_label() for m in (m1, m2)]
+    sets = [critical_set(line, m * ray).by_label() for m in (m1, m2)]
     dlog = math.log(m1) - math.log(m2)
     exps = line.a.a
     labels = list(sets[0].keys())
@@ -471,24 +446,8 @@ class MultiplicityReport:
         return {
             "exponents": list(self.exponents),
             "preset": self.preset,
-            "grid": {
-                "start": self.grid.start,
-                "ratio": self.grid.ratio,
-                "count": self.grid.count,
-                "phase": self.grid.phase,
-            },
-            "rows": [
-                {
-                    "quantity": r.quantity,
-                    "closed_form": r.closed_form,
-                    "estimate": clean(r.estimate),
-                    "snapped": clean(r.snapped),
-                    "residual": clean(r.residual),
-                    "verdict": r.verdict,
-                    "hint": r.hint,
-                }
-                for r in self.rows
-            ],
+            "grid": asdict(self.grid),
+            "rows": [{key: clean(value) for key, value in asdict(r).items()} for r in self.rows],
             "all_match": self.all_match,
         }
 
@@ -510,9 +469,7 @@ def verify_all(
     preset: str = "linear",
     grid: Optional[EpsilonGrid] = None,
     mu_cap: int = DEFAULT_MU_CAP,
-    steps: int = DEFAULT_STEPS,
     line: Optional[GenericLine] = None,
-    jitter_seed: Optional[int] = None,
 ) -> MultiplicityReport:
     """Measure every product degree on one line and judge it against the formulas.
 
@@ -527,20 +484,19 @@ def verify_all(
     grid = grid or EpsilonGrid()
     if line is None:
         line = default_line(ev, preset, grid.phase)
-    if jitter_seed is not None:
-        line = jittered_line(line, jitter_seed)
 
     pure = pure_stokes_multiplicity(ev)
     kinds = [Kind.D_PAIR, Kind.HESSIAN, Kind.Y_TRIPLE]
     if pure is not None:
         kinds.append(Kind.OMEGA_QUAD)
-    trace = evaluate_trace(line, grid.samples(), kinds, steps)
+    trace = evaluate_trace(line, grid.samples(), kinds)
     estimates = {kind: estimate_from_trace(trace, kind, ev) for kind in kinds}
 
+    maxwell = [(1, estimates[Kind.D_PAIR]), (-3, estimates[Kind.HESSIAN])]
     rows = [
         _estimate_row("pair_product_degree", l_value(ev), estimates[Kind.D_PAIR]),
         _estimate_row("caustic", caustic_multiplicity(ev), estimates[Kind.HESSIAN]),
-        _maxwell_row(ev, estimates[Kind.D_PAIR], estimates[Kind.HESSIAN]),
+        _halved_row("maxwell", maxwell_multiplicity(ev), maxwell),
         _estimate_row("mixed_stokes", mixed_stokes_multiplicity(ev), estimates[Kind.Y_TRIPLE]),
     ]
     if pure is None:
@@ -556,48 +512,33 @@ def verify_all(
             )
         )
     else:
-        rows.append(_pure_row(pure, estimates[Kind.OMEGA_QUAD]))
+        rows.append(_halved_row("pure_stokes", pure, [(1, estimates[Kind.OMEGA_QUAD])]))
     return MultiplicityReport(ev.a, preset, grid, tuple(rows), estimates)
 
 
-def _maxwell_row(ev: ExponentVector, d_est: DegreeEstimate, c_est: DegreeEstimate) -> ReportRow:
-    target = maxwell_multiplicity(ev)
-    verdicts = (d_est.verdict, c_est.verdict)
-    if Verdict.DEGENERATE in verdicts:
-        worse = d_est if d_est.verdict is Verdict.DEGENERATE else c_est
-        return ReportRow("maxwell", target, None, None, None, Verdict.DEGENERATE.value, worse.degenerate_hint)
-    if Verdict.INCONCLUSIVE in verdicts:
-        return ReportRow("maxwell", target, None, None, None, Verdict.INCONCLUSIVE.value)
-    estimate = (d_est.extrapolated - 3 * c_est.extrapolated) / 2
-    remainder = d_est.snapped - 3 * c_est.snapped
-    if remainder % 2 == 0:
-        snapped: Optional[float] = remainder // 2
-        ok = (
-            d_est.verdict is Verdict.MATCH
-            and c_est.verdict is Verdict.MATCH
-            and snapped == target
-        )
-    else:
-        snapped = remainder / 2
-        ok = False
-    verdict = Verdict.MATCH.value if ok else Verdict.MISMATCH.value
-    return ReportRow("maxwell", target, estimate, snapped, abs(estimate - target), verdict)
+def _halved_row(quantity: str, closed_form: int, parts: Sequence[tuple[int, DegreeEstimate]]) -> ReportRow:
+    """Row for half of sum c * degree over (c, estimate) parts, e.g. Maxwell = (deg D - 3C)/2.
 
-
-def _pure_row(pure: int, omega_est: DegreeEstimate) -> ReportRow:
-    if omega_est.verdict is Verdict.DEGENERATE:
+    Degenerate wins over Inconclusive and takes the hint of the first degenerate
+    part; the row is a Match only when every part matches and the halved snap
+    equals the closed form.
+    """
+    estimates = [est for _, est in parts]
+    degenerate = [est for est in estimates if est.verdict is Verdict.DEGENERATE]
+    if degenerate:
         return ReportRow(
-            "pure_stokes", pure, None, None, None, Verdict.DEGENERATE.value, omega_est.degenerate_hint
+            quantity, closed_form, None, None, None, Verdict.DEGENERATE.value, degenerate[0].degenerate_hint
         )
-    if omega_est.verdict is Verdict.INCONCLUSIVE:
-        return ReportRow("pure_stokes", pure, None, None, None, Verdict.INCONCLUSIVE.value)
-    estimate = omega_est.extrapolated / 2
-    if omega_est.snapped % 2 == 0:
-        snapped: float = omega_est.snapped // 2
-    else:
-        snapped = omega_est.snapped / 2
-    verdict = omega_est.verdict.value
-    return ReportRow("pure_stokes", pure, estimate, snapped, abs(estimate - pure), verdict)
+    if any(est.verdict is Verdict.INCONCLUSIVE for est in estimates):
+        return ReportRow(quantity, closed_form, None, None, None, Verdict.INCONCLUSIVE.value)
+    # the first term starts the sum, so a lone -0.0 estimate keeps its sign
+    terms = [c * est.extrapolated for c, est in parts]
+    estimate = sum(terms[1:], terms[0]) / 2
+    twice = sum(c * est.snapped for c, est in parts)
+    snapped: float = twice // 2 if twice % 2 == 0 else twice / 2
+    ok = all(est.verdict is Verdict.MATCH for est in estimates) and snapped == closed_form
+    verdict = Verdict.MATCH if ok else Verdict.MISMATCH
+    return ReportRow(quantity, closed_form, estimate, snapped, abs(estimate - closed_form), verdict.value)
 
 
 def slope_table_rows(report: MultiplicityReport) -> list[tuple]:

@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .closed_forms import binom12, binom22
-from .critical_tracker import DEFAULT_STEPS, CriticalPointSet, GenericLine, critical_set, line_function
+from .critical_tracker import CriticalPointSet, GenericLine, critical_set, line_function
 from .polyalg import SparsePoly, hessian_det_at
 
 __all__ = [
@@ -187,16 +187,9 @@ def log_hessian_product(f_eps: SparsePoly, points: CriticalPointSet) -> LogProdu
     return _log_product(Kind.HESSIAN, np.array(dets, dtype=complex), dets, rows, points.labels())
 
 
-def products_at(
-    line: GenericLine,
-    eps: complex,
-    kinds: Sequence[Kind],
-    steps: int = DEFAULT_STEPS,
-    points: Optional[CriticalPointSet] = None,
-) -> dict[Kind, LogProduct]:
+def products_at(line: GenericLine, eps: complex, kinds: Sequence[Kind]) -> dict[Kind, LogProduct]:
     """Evaluate the requested products at one ray parameter."""
-    if points is None:
-        points = critical_set(line, eps, steps)
+    points = critical_set(line, eps)
     values = points.values()
     labels = points.labels()
     out: dict[Kind, LogProduct] = {}
@@ -223,7 +216,6 @@ class LogProductTrace:
 
     epsilon_samples: tuple[complex, ...]
     samples: tuple[dict, ...]  # one {Kind: LogProduct} per epsilon
-    counts: dict
 
     def kinds(self) -> list[Kind]:
         return list(self.samples[0].keys()) if self.samples else []
@@ -242,12 +234,8 @@ class LogProductTrace:
 
 
 def evaluate_trace(
-    line: GenericLine,
-    eps_samples: Sequence[complex],
-    kinds: Sequence[Kind],
-    steps: int = DEFAULT_STEPS,
+    line: GenericLine, eps_samples: Sequence[complex], kinds: Sequence[Kind]
 ) -> LogProductTrace:
     kinds = list(kinds)
-    samples = tuple(products_at(line, eps, kinds, steps) for eps in eps_samples)
-    counts = {kind: factor_count(kind, line.a.mu) for kind in kinds}
-    return LogProductTrace(tuple(eps_samples), samples, counts)
+    samples = tuple(products_at(line, eps, kinds) for eps in eps_samples)
+    return LogProductTrace(tuple(eps_samples), samples)

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
-
-from .closed_forms import ExponentVector
 
 __all__ = [
     "SparsePoly",
@@ -23,6 +21,8 @@ __all__ = [
 ]
 
 Exponent = tuple[int, ...]
+
+MAX_ROOT_SWEEPS = 200
 
 
 class NonConvergence(Exception):
@@ -36,20 +36,12 @@ class NonConvergence(Exception):
 class SparsePoly:
     """Polynomial as a map from exponent multi-indices to complex coefficients.
 
-    Zero coefficients are never stored.  When ``versal_box`` is given the
-    exponents are confined to 0 <= alpha_i <= a_i - 1 with no constant term,
-    the admissible shape for deformation directions; intermediate results
-    (gradients, products) are built without the box.
+    Zero coefficients are never stored.
     """
 
     __slots__ = ("n_vars", "terms")
 
-    def __init__(
-        self,
-        n_vars: int,
-        terms: Optional[Mapping[Exponent, complex]] = None,
-        versal_box: Optional[ExponentVector] = None,
-    ):
+    def __init__(self, n_vars: int, terms: Optional[Mapping[Exponent, complex]] = None):
         if n_vars < 1:
             raise ValueError("n_vars must be >= 1")
         self.n_vars = int(n_vars)
@@ -64,23 +56,10 @@ class SparsePoly:
             if value != 0:
                 cleaned[key] = cleaned.get(key, 0j) + value
         self.terms = {k: v for k, v in cleaned.items() if v != 0}
-        if versal_box is not None:
-            box = versal_box.a
-            if len(box) != self.n_vars:
-                raise ValueError("versal box arity mismatch")
-            for exp in self.terms:
-                if all(e == 0 for e in exp):
-                    raise ValueError("constant term not allowed inside the versal box")
-                if any(e > box[i] - 1 for i, e in enumerate(exp)):
-                    raise ValueError(f"exponent {exp} outside the versal box {box}")
 
     @classmethod
     def zero(cls, n_vars: int) -> "SparsePoly":
         return cls(n_vars, {})
-
-    @classmethod
-    def monomial(cls, n_vars: int, exp: Exponent, coef: complex = 1.0) -> "SparsePoly":
-        return cls(n_vars, {tuple(exp): coef})
 
     @classmethod
     def linear(cls, coeffs: Sequence[complex]) -> "SparsePoly":
@@ -122,20 +101,6 @@ class SparsePoly:
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, SparsePoly):
-            if self.n_vars != other.n_vars:
-                raise ValueError("variable-count mismatch")
-            out: dict[Exponent, complex] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    key = tuple(x + y for x, y in zip(e1, e2))
-                    out[key] = out.get(key, 0j) + c1 * c2
-            return SparsePoly(self.n_vars, out)
-        return self.scale(other)
-
-    __rmul__ = __mul__
 
     def scale(self, factor: complex) -> "SparsePoly":
         return SparsePoly(self.n_vars, {e: c * complex(factor) for e, c in self.terms.items()})
@@ -221,7 +186,7 @@ def _horner_pair(coeffs: Sequence[complex], z: complex) -> tuple[complex, comple
     return value, deriv
 
 
-def univariate_roots(coeffs: Sequence[complex], max_sweeps: int = 200) -> list[complex]:
+def univariate_roots(coeffs: Sequence[complex]) -> list[complex]:
     """All roots (with multiplicity) of sum_k coeffs[k] z^k, ascending order.
 
     Simultaneous iteration with mutual-repulsion corrections, followed by one
@@ -245,7 +210,7 @@ def univariate_roots(coeffs: Sequence[complex], max_sweeps: int = 200) -> list[c
     # deterministic non-symmetric starting angles
     z = [radius * cmath.exp(2j * math.pi * (k + 0.37) / degree) for k in range(degree)]
 
-    for _ in range(max_sweeps):
+    for _ in range(MAX_ROOT_SWEEPS):
         moved = 0.0
         for k in range(degree):
             pk, dpk = _horner_pair(c, z[k])

@@ -92,6 +92,20 @@ class TestGenericLineInvariants:
         assert jittered_line(line, 43).q != j1.q
 
 
+class TestVersalBox:
+    def test_accepts_box_interior(self):
+        line = GenericLine(ExponentVector((3, 3)), (1.0, 0.01), SparsePoly(2, {(2, 1): 1.0}))
+        assert line.phi_tail.terms == {(2, 1): 1.0}
+
+    def test_rejects_constant(self):
+        with pytest.raises(ValueError, match="constant term not allowed inside the versal box"):
+            GenericLine(ExponentVector((3,)), (1.0,), SparsePoly(1, {(0,): 1.0}))
+
+    def test_rejects_outside(self):
+        with pytest.raises(ValueError, match=r"exponent \(3, 0\) outside the versal box \(3, 3\)"):
+            GenericLine(ExponentVector((3, 3)), (1.0, 0.01), SparsePoly(2, {(3, 0): 1.0}))
+
+
 class TestSeparable:
     def test_cubic_radii_and_values(self):
         line = default_line((3,))

@@ -7,7 +7,7 @@ import pytest
 
 from phamlab import degree_lab
 from phamlab.closed_forms import binom12, mixed_depth_counts
-from phamlab.critical_tracker import GenericLine, default_line
+from phamlab.critical_tracker import GenericLine, default_line, jittered_line
 from phamlab.degree_lab import (
     ClusterReport,
     DegreeEstimate,
@@ -173,6 +173,17 @@ class TestUnequalOddPair:
         }
 
 
+class TestHistogramTotal:
+    def test_53_coupled_default_grid_total_is_not_an_integer(self):
+        # on the default grid a few Omega factors of (5, 3) snap to the wrong
+        # exponent: 7836 at 6/5, 276 at 4/3, 18 at 7/5 and 60 at 23/15 sum to
+        # 49442/5, where the integer 9888 is due
+        line = default_line((5, 3), "xy_coupled")
+        trace = evaluate_trace(line, EpsilonGrid().samples(), [Kind.OMEGA_QUAD])
+        with pytest.raises(ValueError, match="49442/5, not an integer"):
+            classify_factors(trace, (5, 3))
+
+
 class TestClusterScaling:
     def test_two_depths(self):
         report = cluster_scaling(default_line((5, 3)))
@@ -217,7 +228,7 @@ class TestVerifyAll:
 
     def test_jitter_keeps_verdicts(self):
         base = verify_all((3,))
-        jittered = verify_all((3,), jitter_seed=7)
+        jittered = verify_all((3,), line=jittered_line(default_line((3,)), 7))
         for r1, r2 in zip(base.rows, jittered.rows):
             assert r1.verdict == r2.verdict == "Match"
 
@@ -310,6 +321,16 @@ class TestDerivedRows:
         assert row.estimate == pytest.approx(1.51)
         assert row.residual == pytest.approx(0.51)
         assert row.verdict == "Mismatch"
+
+    def test_mismatched_input_gives_mismatch(self, monkeypatch):
+        # the snaps still give M = 1 and pure Stokes 0, but the inputs did not match
+        rows = self.rows(
+            monkeypatch,
+            D_PAIR=_synthetic(Kind.D_PAIR, Verdict.MISMATCH, 8, 8.3),
+            OMEGA_QUAD=_synthetic(Kind.OMEGA_QUAD, Verdict.MISMATCH, 0, 0.3),
+        )
+        assert (rows["maxwell"].snapped, rows["maxwell"].verdict) == (1, "Mismatch")
+        assert (rows["pure_stokes"].snapped, rows["pure_stokes"].verdict) == (0, "Mismatch")
 
     def test_inconclusive_omega_has_no_hint(self, monkeypatch):
         rows = self.rows(

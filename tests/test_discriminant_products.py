@@ -151,7 +151,7 @@ class TestProductsAt:
         line = default_line((3,))
         mags = [1e-3, 10**-3.5, 1e-4]
         trace = evaluate_trace(line, [m * cmath.exp(0.37j) for m in mags], [Kind.D_PAIR])
-        assert trace.counts[Kind.D_PAIR] == 6
+        assert [len(s[Kind.D_PAIR].logs) for s in trace.samples] == [6, 6, 6]
         first = trace.samples[0][Kind.D_PAIR].factors
         last = trace.samples[-1][Kind.D_PAIR].factors
         assert [f.indices for f in first] == [f.indices for f in last]

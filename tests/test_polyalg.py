@@ -7,7 +7,6 @@ import random
 import numpy as np
 import pytest
 
-from phamlab.closed_forms import ExponentVector
 from phamlab.polyalg import (
     NonConvergence,
     SparsePoly,
@@ -82,23 +81,6 @@ class TestHessian:
     def test_coupled_saddle(self):
         p = SparsePoly(2, {(4, 0): 0.25, (0, 4): 0.25, (1, 1): 1.0})
         assert hessian_det_at(p, [0.0, 0.0]) == -1.0
-
-
-class TestVersalBox:
-    def test_accepts_box_interior(self):
-        SparsePoly(2, {(2, 1): 1.0}, versal_box=ExponentVector((3, 3)))
-
-    def test_rejects_constant(self):
-        with pytest.raises(ValueError):
-            SparsePoly(1, {(0,): 1.0}, versal_box=ExponentVector((3,)))
-
-    def test_rejects_outside(self):
-        with pytest.raises(ValueError):
-            SparsePoly(2, {(3, 0): 1.0}, versal_box=ExponentVector((3, 3)))
-
-    def test_gradients_may_leave_box(self):
-        p = SparsePoly(1, {(2,): 1.0}, versal_box=ExponentVector((3,)))
-        assert p.diff(0) == SparsePoly(1, {(1,): 2.0})
 
 
 class TestJsonLiteral:
