@@ -2,7 +2,8 @@
 
 Each file under ``tests/golden/`` starts with an ``exit <code>`` line followed
 by the exact stdout of one invocation; the ``--slopes-csv`` case appends the
-CSV file after a marker line.
+CSV file after a marker line.  ``--help`` cases exit through SystemExit and
+are rendered at COLUMNS=80.
 """
 
 import contextlib
@@ -29,13 +30,29 @@ CASES = {
     "verify_3_3_2": ["verify", "3", "3", "2", "--mu-cap", "18"],
     "verify_3_3_2_json": ["verify", "3", "3", "2", "--mu-cap", "18", "--format", "json"],
     "verify_3_slopes": ["verify", "3", "--slopes-csv", SLOPES],
+    "verify_3_3_xy_phase_json": [
+        "verify", "3", "3", "--preset", "xy_coupled", "--phase", "0.5", "--format", "json"
+    ],
     "trace_4_omega": ["trace", "4", "--kind", "Omega_quad"],
     "trace_3_3_xy_omega": ["trace", "3", "3", "--preset", "xy_coupled", "--kind", "Omega_quad"],
     "trace_5_y": ["trace", "5", "--kind", "Y_triple"],
+    "trace_3_3_xy_d_phase": [
+        "trace", "3", "3", "--preset", "xy_coupled", "--kind", "D_pair", "--phase", "0.5"
+    ],
     "cluster_5_3_xy_json": ["cluster", "5", "3", "--preset", "xy_coupled", "--format", "json"],
+    "cluster_5_3_xy_phase_json": [
+        "cluster", "5", "3", "--preset", "xy_coupled", "--phase", "0.5", "--format", "json"
+    ],
     "mult_3_3": ["mult", "3", "3"],
     "mult_3_3_json": ["mult", "3", "3", "--format", "json"],
     "mult_3_3_csv": ["mult", "3", "3", "--format", "csv"],
+    "presets": ["presets"],
+    "help": ["--help"],
+    "help_mult": ["mult", "--help"],
+    "help_verify": ["verify", "--help"],
+    "help_cluster": ["cluster", "--help"],
+    "help_trace": ["trace", "--help"],
+    "help_presets": ["presets", "--help"],
 }
 
 
@@ -44,7 +61,10 @@ def run_case(argv, tmp_dir: Path) -> bytes:
     slopes = tmp_dir / "slopes.csv"
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([str(slopes) if arg == SLOPES else arg for arg in argv])
+        try:
+            code = main([str(slopes) if arg == SLOPES else arg for arg in argv])
+        except SystemExit as stop:
+            code = stop.code
     record = f"exit {code}\n".encode() + out.getvalue().encode()
     if SLOPES in argv:
         record += SLOPES_MARKER + slopes.read_bytes()
@@ -52,6 +72,7 @@ def run_case(argv, tmp_dir: Path) -> bytes:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(name, tmp_path):
+def test_cli_output_matches_golden(name, tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
     expected = (GOLDEN_DIR / f"{name}.txt").read_bytes()
     assert run_case(CASES[name], tmp_path) == expected
