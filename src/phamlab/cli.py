@@ -53,15 +53,15 @@ def _build_line(args, exponents: ExponentVector) -> GenericLine:
     if args.phi_json:
         with open(args.phi_json, encoding="utf-8") as handle:
             phi = SparsePoly.from_json_dict(json.load(handle))
-        line = _line_from_phi(exponents, phi, args.phase)
+        line = _line_from_phi(exponents, phi)
     else:
-        line = default_line(exponents, args.preset, args.phase)
+        line = default_line(exponents, args.preset)
     if args.jitter is not None:
         line = jittered_line(line, args.jitter)
     return line
 
 
-def _line_from_phi(a: ExponentVector, phi: SparsePoly, phase: float) -> GenericLine:
+def _line_from_phi(a: ExponentVector, phi: SparsePoly) -> GenericLine:
     """Split a user polynomial into linear coefficients and tail."""
     n = a.n
     if phi.n_vars != n:
@@ -78,7 +78,7 @@ def _line_from_phi(a: ExponentVector, phi: SparsePoly, phase: float) -> GenericL
             q[i] = coef.real
         else:
             tail_terms[exp] = coef
-    return GenericLine(a, tuple(q), SparsePoly(n, tail_terms), phase)
+    return GenericLine(a, tuple(q), SparsePoly(n, tail_terms))
 
 
 def _emit_json(payload: dict) -> None:
@@ -190,7 +190,7 @@ def cmd_verify(args) -> int:
 
 def cmd_cluster(args) -> int:
     line = _build_line(args, ExponentVector(tuple(args.exponents)))
-    report = cluster_scaling(line, tuple(args.eps_pair))
+    report = cluster_scaling(line, tuple(args.eps_pair), args.phase)
     if args.format == "json":
         _emit_json(
             {
@@ -270,10 +270,14 @@ def _add_exponents(parser) -> None:
 
 
 def _add_grid_flags(parser) -> None:
-    parser.add_argument("--eps-start", type=float, default=1e-2, help="largest |eps| (default 1e-2)")
-    parser.add_argument("--eps-ratio", type=float, default=10**-0.5, help="grid ratio (default 10^-0.5)")
-    parser.add_argument("--eps-count", type=int, default=7, help="number of samples (default 7)")
-    parser.add_argument("--phase", type=float, default=0.37, help="ray phase in radians (default 0.37)")
+    parser.add_argument("--eps-start", type=float, default=EpsilonGrid.start,
+                        help="largest |eps| (default 1e-2)")
+    parser.add_argument("--eps-ratio", type=float, default=EpsilonGrid.ratio,
+                        help="grid ratio (default 10^-0.5)")
+    parser.add_argument("--eps-count", type=int, default=EpsilonGrid.count,
+                        help="number of samples (default 7)")
+    parser.add_argument("--phase", type=float, default=EpsilonGrid.phase,
+                        help="ray phase in radians (default 0.37)")
 
 
 def _add_line_flags(parser) -> None:
@@ -310,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_line_flags(p_cluster)
     p_cluster.add_argument("--eps-pair", type=float, nargs=2, default=(1e-3, 1e-4),
                            metavar=("E1", "E2"), help="the two |eps| magnitudes")
-    p_cluster.add_argument("--phase", type=float, default=0.37)
+    p_cluster.add_argument("--phase", type=float, default=EpsilonGrid.phase)
     p_cluster.add_argument("--format", choices=("text", "json"), default="text")
     p_cluster.set_defaults(func=cmd_cluster)
 
@@ -319,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_line_flags(p_trace)
     p_trace.add_argument("--kind", choices=[k.value for k in Kind], default="D_pair")
     p_trace.add_argument("--eps", type=float, default=1e-3, help="|eps| of the single sample")
-    p_trace.add_argument("--phase", type=float, default=0.37)
+    p_trace.add_argument("--phase", type=float, default=EpsilonGrid.phase)
     p_trace.add_argument("--out", help="CSV path (default stdout)")
     p_trace.set_defaults(func=cmd_trace)
 

@@ -18,6 +18,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -79,7 +80,6 @@ class GenericLine:
     a: ExponentVector
     q: tuple[float, ...]
     phi_tail: SparsePoly
-    phase: float = 0.37
 
     def __post_init__(self) -> None:
         exps = self.a.a
@@ -115,6 +115,14 @@ class GenericLine:
 
     def phi(self) -> SparsePoly:
         return SparsePoly.linear(self.q) + self.phi_tail
+
+    @cached_property
+    def tail_derivatives(self) -> tuple[tuple[SparsePoly, ...], tuple[tuple[SparsePoly, ...], ...]]:
+        """Gradient and Hessian polynomials of the tail, differentiated once per line."""
+        n = self.n
+        grads = tuple(self.phi_tail.diff(i) for i in range(n))
+        hessians = tuple(tuple(grads[i].diff(j) for j in range(n)) for i in range(n))
+        return grads, hessians
 
 
 @dataclass(frozen=True)
@@ -153,7 +161,7 @@ def _ladder_q(exps: Sequence[int]) -> tuple[float, ...]:
     return tuple(q)
 
 
-def default_line(a: ExponentsLike, preset: str = "linear", phase: float = 0.37) -> GenericLine:
+def default_line(a: ExponentsLike, preset: str = "linear") -> GenericLine:
     """Build one of the stock deformation directions.
 
     linear        q-ladder only (q_1 = 1, then x0.3 per strict exponent drop,
@@ -186,7 +194,7 @@ def default_line(a: ExponentsLike, preset: str = "linear", phase: float = 0.37) 
         if exps[1] < 2:
             raise ValueError("xy_coupled needs a_2 >= 2 so x*y fits the deformation box")
         tail = SparsePoly(2, {(1, 1): q[1]})
-    return GenericLine(ev, q, tail, phase)
+    return GenericLine(ev, q, tail)
 
 
 def jittered_line(line: GenericLine, seed: int) -> GenericLine:
@@ -203,7 +211,7 @@ def jittered_line(line: GenericLine, seed: int) -> GenericLine:
         proposal = line.q[i] * rng.uniform(0.9, 1.1)
         limit = q[i - 1] * (0.01 if exps[i] == exps[i - 1] else 1.0)
         q.append(min(proposal, limit))
-    return GenericLine(line.a, tuple(q), line.phi_tail, line.phase)
+    return GenericLine(line.a, tuple(q), line.phi_tail)
 
 
 def line_function(line: GenericLine, eps: complex) -> SparsePoly:
@@ -265,13 +273,6 @@ def separable_critical_set(line: GenericLine, eps: complex) -> CriticalPointSet:
     return result
 
 
-def _tail_derivative_polys(line: GenericLine):
-    n = line.n
-    grads = [line.phi_tail.diff(i) for i in range(n)]
-    hessians = [[grads[i].diff(j) for j in range(n)] for i in range(n)]
-    return grads, hessians
-
-
 def _gradient(z: np.ndarray, exps: np.ndarray, eps_q: np.ndarray, eps_s: complex, grads) -> np.ndarray:
     """Gradient of f - eps*phi_0 - eps*s*tail at the rows of z; eps_q is the row eps*q, eps_s is eps*s."""
     g = z**exps - eps_q
@@ -303,7 +304,7 @@ def _validate_set(line: GenericLine, eps: complex, cps: CriticalPointSet) -> Non
         raise TrackerError("label set is not an exhaustive enumeration")
     coords = cps.coords_array()
     residual_bound = GRADIENT_RESIDUAL_COEF * max(1.0, abs(eps))
-    grads, _ = _tail_derivative_polys(line)
+    grads, _ = line.tail_derivatives
     g = _gradient(coords, np.array(line.a.a), eps * np.array(line.q)[None, :], eps, grads)
     worst = float(np.sqrt((np.abs(g) ** 2).sum(axis=1)).max())
     if worst > residual_bound:
@@ -314,7 +315,8 @@ def _validate_set(line: GenericLine, eps: complex, cps: CriticalPointSet) -> Non
             raise TrackerError(f"points not distinct: min distance {min_dist:.3e}")
 
 
-def _newton_correct(line, eps: complex, s: float, coords: np.ndarray, grads, hessians) -> np.ndarray:
+def _newton_correct(line, eps: complex, s: float, coords: np.ndarray) -> np.ndarray:
+    grads, hessians = line.tail_derivatives
     exps = np.array(line.a.a)
     eps_q = eps * np.array(line.q)[None, :]
     eps_s = eps * s
@@ -344,10 +346,9 @@ def _newton_correct(line, eps: complex, s: float, coords: np.ndarray, grads, hes
 
 
 def _run_homotopy(line, eps: complex, start: np.ndarray, steps: int, floor: np.ndarray) -> np.ndarray:
-    grads, hessians = _tail_derivative_polys(line)
     z = start.copy()
     for k in range(1, steps + 1):
-        z = _newton_correct(line, eps, k / steps, z, grads, hessians)
+        z = _newton_correct(line, eps, k / steps, z)
         dist = _pairwise_distances(z)
         if (dist < floor).any():
             i, j = np.unravel_index(int((dist / floor).argmin()), dist.shape)
@@ -365,7 +366,7 @@ def track_to_phi(line: GenericLine, eps: complex) -> CriticalPointSet:
     """
     if line.phi_tail.is_zero():
         return separable_critical_set(line, eps)
-    linear_part = GenericLine(line.a, line.q, SparsePoly.zero(line.n), line.phase)
+    linear_part = GenericLine(line.a, line.q, SparsePoly.zero(line.n))
     start = separable_critical_set(linear_part, eps)
     eps = complex(eps)
     coords0 = start.coords_array()
@@ -374,7 +375,7 @@ def track_to_phi(line: GenericLine, eps: complex) -> CriticalPointSet:
     if mu > 1:
         dist0 = _pairwise_distances(coords0)
         min_gap = float(dist0.min())
-        grads, _ = _tail_derivative_polys(line)
+        grads, _ = line.tail_derivatives
         # predicted per-step Newton correction: tail forcing over the diagonal
         # Jacobian scale, divided across the homotopy steps
         basin = 0.0

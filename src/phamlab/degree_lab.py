@@ -33,6 +33,7 @@ from .closed_forms import (
     pure_stokes_multiplicity,
 )
 from .critical_tracker import (
+    MAX_EPS_MAGNITUDE,
     GenericLine,
     critical_set,
     default_line,
@@ -85,7 +86,7 @@ class EpsilonGrid:
     def __post_init__(self) -> None:
         if not 0 < self.ratio < 1:
             raise ValueError("ratio must lie in (0, 1)")
-        if not 0 < self.start <= 1e-2 * (1 + 1e-9):
+        if not 0 < self.start <= MAX_EPS_MAGNITUDE * (1 + 1e-9):
             raise ValueError("start magnitude must lie in (0, 1e-2]")
         if self.count < 4:
             raise ValueError("need at least 4 samples")
@@ -216,8 +217,7 @@ def estimate_from_trace(trace: LogProductTrace, kind: Kind, a: ExponentsLike) ->
     )
 
 
-def estimate_degree(line: GenericLine, kind: Kind, grid: Optional[EpsilonGrid] = None) -> DegreeEstimate:
-    grid = grid or EpsilonGrid(phase=line.phase)
+def estimate_degree(line: GenericLine, kind: Kind, grid: EpsilonGrid = EpsilonGrid()) -> DegreeEstimate:
     trace = evaluate_trace(line, grid.samples(), [kind])
     return estimate_from_trace(trace, kind, line.a)
 
@@ -371,18 +371,21 @@ class ClusterReport:
         return all(level.passed for level in self.levels)
 
 
-def cluster_scaling(line: GenericLine, eps_pair: tuple[float, float] = (1e-3, 1e-4)) -> ClusterReport:
+def cluster_scaling(
+    line: GenericLine, eps_pair: tuple[float, float] = (1e-3, 1e-4), phase: float = EpsilonGrid.phase
+) -> ClusterReport:
     """Measure the per-depth critical-value gap exponents against (a_i+1)/a_i.
 
-    At each depth i the gaps between values whose labels share the first i-1
-    entries and differ at entry i are compared across the two magnitudes; the
-    median two-point log-ratio exponent must sit within 0.05 of (a_i+1)/a_i.
-    Depths with no qualifying pairs pass vacuously.
+    Both magnitudes are sampled on the ray at angle ``phase``.  At each depth
+    i the gaps between values whose labels share the first i-1 entries and
+    differ at entry i are compared across the two magnitudes; the median
+    two-point log-ratio exponent must sit within 0.05 of (a_i+1)/a_i.  Depths
+    with no qualifying pairs pass vacuously.
     """
     m1, m2 = (float(x) for x in eps_pair)
     if m1 == m2:
         raise ValueError("the two magnitudes must differ")
-    ray = cmath.exp(1j * line.phase)
+    ray = cmath.exp(1j * phase)
     sets = [critical_set(line, m * ray).by_label() for m in (m1, m2)]
     dlog = math.log(m1) - math.log(m2)
     exps = line.a.a
@@ -467,7 +470,7 @@ def _estimate_row(quantity: str, closed_form: int, est: DegreeEstimate) -> Repor
 def verify_all(
     a: ExponentsLike,
     preset: str = "linear",
-    grid: Optional[EpsilonGrid] = None,
+    grid: EpsilonGrid = EpsilonGrid(),
     mu_cap: int = DEFAULT_MU_CAP,
     line: Optional[GenericLine] = None,
 ) -> MultiplicityReport:
@@ -481,9 +484,10 @@ def verify_all(
     ev = _ev(a)
     if ev.mu > mu_cap:
         raise ValueError(f"mu = {ev.mu} exceeds the cap {mu_cap}")
-    grid = grid or EpsilonGrid()
     if line is None:
-        line = default_line(ev, preset, grid.phase)
+        line = default_line(ev, preset)
+    elif line.a != ev:
+        raise ValueError(f"line exponents {line.a.a} do not match {ev.a}")
 
     pure = pure_stokes_multiplicity(ev)
     kinds = [Kind.D_PAIR, Kind.HESSIAN, Kind.Y_TRIPLE]

@@ -20,7 +20,7 @@ the row applies left to right; a mirrored D or Omega configuration is the exact
 negation of one evaluated once; magnitudes come from np.hypot, logs from
 math.log per factor, and each total is a left-to-right sum() in tuple order
 (numpy's abs, log and sum change the last bits).  FactorRecords are built only
-when LogProduct.factors is read.
+when LogProduct.factors is read; a degenerate hint builds its one record alone.
 """
 
 from __future__ import annotations
@@ -227,9 +227,12 @@ class LogProductTrace:
         return any(s[kind].has_zero for s in self.samples)
 
     def first_zero(self, kind: Kind) -> Optional[FactorRecord]:
+        """Record of the first structural-zero factor; builds no other record."""
         for s in self.samples:
-            if s[kind].has_zero:
-                return s[kind].factors[int(np.isnan(s[kind].logs).argmax())]
+            product = s[kind]
+            if product.has_zero:
+                row = product.rows[int(np.isnan(product.logs).argmax())].tolist()
+                return FactorRecord(kind, tuple(product.labels[i] for i in row), None)
         return None
 
 

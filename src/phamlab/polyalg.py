@@ -96,12 +96,6 @@ class SparsePoly:
             merged[exp] = merged.get(exp, 0j) + coef
         return SparsePoly(self.n_vars, merged)
 
-    def __neg__(self) -> "SparsePoly":
-        return SparsePoly(self.n_vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        return self + (-other)
-
     def scale(self, factor: complex) -> "SparsePoly":
         return SparsePoly(self.n_vars, {e: c * complex(factor) for e, c in self.terms.items()})
 
@@ -139,15 +133,6 @@ class SparsePoly:
                     term = term * points[:, i] ** e
             out += term
         return out
-
-    def to_json_dict(self) -> dict:
-        return {
-            "vars": self.n_vars,
-            "terms": [
-                {"exp": list(exp), "re": coef.real, "im": coef.imag}
-                for exp, coef in sorted(self.terms.items())
-            ],
-        }
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SparsePoly":

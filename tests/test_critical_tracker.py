@@ -214,6 +214,21 @@ class TestTracking:
         coupled = default_line((3, 3), "xy_coupled")
         assert len(critical_set(coupled, EPS).points) == 9
 
+    def test_tail_differentiated_once_per_line(self, monkeypatch):
+        line = default_line((3, 3), "xy_coupled")
+        calls = []
+        original = SparsePoly.diff
+
+        def counting(poly, var):
+            if poly is line.phi_tail:
+                calls.append(var)
+            return original(poly, var)
+
+        monkeypatch.setattr(SparsePoly, "diff", counting)
+        critical_set(line, EPS)
+        critical_set(line, EPS / 10)
+        assert sorted(calls) == list(range(line.n))
+
 
 class TestLineFunction:
     def test_matches_manual_composition(self):

@@ -79,8 +79,8 @@ class TestEstimateDegree:
         assert est.verdict is Verdict.MATCH
 
     def test_phase_robustness(self):
+        line = default_line((3,))
         for phase in (0.27, 0.47):
-            line = default_line((3,), phase=phase)
             est = estimate_degree(line, Kind.D_PAIR, EpsilonGrid(phase=phase))
             assert est.snapped == 8
             assert est.verdict is Verdict.MATCH
@@ -225,6 +225,10 @@ class TestVerifyAll:
     def test_mu_cap(self):
         with pytest.raises(ValueError):
             verify_all((5, 5))  # mu = 25 > 16
+
+    def test_rejects_line_for_other_exponents(self):
+        with pytest.raises(ValueError, match="do not match"):
+            verify_all((3, 3), line=default_line((5, 3)), mu_cap=64)
 
     def test_jitter_keeps_verdicts(self):
         base = verify_all((3,))

@@ -14,6 +14,7 @@ from phamlab.degree_lab import verify_all
 from phamlab.discriminant_products import (
     ZERO_COEF,
     Kind,
+    LogProduct,
     evaluate_trace,
     factor_count,
     log_D,
@@ -238,3 +239,12 @@ class TestKernelAgainstReference:
         monkeypatch.setattr(discriminant_products, "FactorRecord", refuse)
         report = verify_all((3, 3), "xy_coupled")
         assert report.all_match
+
+    def test_degenerate_hint_builds_one_record(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the hint must not build every factor record")
+
+        monkeypatch.setattr(LogProduct, "factors", property(refuse))
+        row = verify_all((4,)).rows[4]
+        assert row.verdict == "Degenerate"
+        assert row.hint == "parallelogram: (0),(2) | (1),(3)"

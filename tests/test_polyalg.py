@@ -85,8 +85,11 @@ class TestHessian:
 
 class TestJsonLiteral:
     def test_round_trip(self):
-        p = SparsePoly(2, {(1, 1): 0.25 + 0j, (2, 0): -1.5j})
-        assert SparsePoly.from_json_dict(p.to_json_dict()) == p
+        data = {
+            "vars": 2,
+            "terms": [{"exp": [1, 1], "re": 0.25, "im": 0.0}, {"exp": [2, 0], "re": 0.0, "im": -1.5}],
+        }
+        assert SparsePoly.from_json_dict(data) == SparsePoly(2, {(1, 1): 0.25 + 0j, (2, 0): -1.5j})
 
     def test_malformed(self):
         with pytest.raises(ValueError):
