@@ -9,6 +9,9 @@ first i label entries form a depth-i collection.
 
 Nonlinear directions are reached by a stepped homotopy from phi_0 to phi with
 Newton correction of the gradient system, inheriting labels from the start.
+All samples of a grid are tracked in one batched homotopy (critical_sets);
+each sample keeps its own Newton stopping test, divergence check and collision
+floor, so its points are bit-identical to tracking it alone.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "separable_critical_set",
     "track_to_phi",
     "critical_set",
+    "critical_sets",
     "line_function",
 ]
 
@@ -227,6 +231,8 @@ def line_function(line: GenericLine, eps: complex) -> SparsePoly:
 
 def _check_eps(eps: complex) -> complex:
     eps = complex(eps)
+    if not cmath.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
     if eps == 0:
         raise ValueError("eps must be nonzero")
     if abs(eps) > MAX_EPS_MAGNITUDE * (1 + 1e-9):
@@ -273,12 +279,16 @@ def separable_critical_set(line: GenericLine, eps: complex) -> CriticalPointSet:
     return result
 
 
-def _gradient(z: np.ndarray, exps: np.ndarray, eps_q: np.ndarray, eps_s: complex, grads) -> np.ndarray:
-    """Gradient of f - eps*phi_0 - eps*s*tail at the rows of z; eps_q is the row eps*q, eps_s is eps*s."""
+def _gradient(z: np.ndarray, exps: np.ndarray, eps_q: np.ndarray, eps_s, grads) -> np.ndarray:
+    """Gradient of f - eps*phi_0 - eps*s*tail at the points z[..., k, :].
+
+    eps_q holds the rows eps*q and eps_s the products eps*s, both broadcast
+    against the point axis: a scalar for one sample, an (S, 1) column for S.
+    """
     g = z**exps - eps_q
     for i, grad in enumerate(grads):
         if not grad.is_zero():
-            g[:, i] -= eps_s * grad.eval_batch(z)
+            g[..., i] -= eps_s * grad.eval_batch(z.reshape(-1, z.shape[-1])).reshape(z.shape[:-1])
     return g
 
 
@@ -291,10 +301,11 @@ def _values_at(line: GenericLine, eps: complex, coords: np.ndarray) -> np.ndarra
 
 
 def _pairwise_distances(coords: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of coords, inf on the diagonal."""
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt((np.abs(diff) ** 2).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
+    """Euclidean distances between the points coords[..., k, :], inf on the diagonal."""
+    diff = coords[..., :, None, :] - coords[..., None, :, :]
+    dist = np.sqrt((np.abs(diff) ** 2).sum(axis=-1))
+    diagonal = np.arange(coords.shape[-2])
+    dist[..., diagonal, diagonal] = np.inf
     return dist
 
 
@@ -315,106 +326,213 @@ def _validate_set(line: GenericLine, eps: complex, cps: CriticalPointSet) -> Non
             raise TrackerError(f"points not distinct: min distance {min_dist:.3e}")
 
 
-def _newton_correct(line, eps: complex, s: float, coords: np.ndarray) -> np.ndarray:
+def _newton_correct(
+    line: GenericLine, eps_q: np.ndarray, eps_s: np.ndarray, z: np.ndarray
+) -> tuple[np.ndarray, list[Optional[NewtonDivergence]]]:
+    """Newton-correct the (S, mu, n) points z of S samples at their own eps*q rows and eps*s.
+
+    Each sample iterates until its own step test passes and is then left
+    alone, so its rows see the same operations as when corrected by itself.
+    Returns the corrected points and, per sample, None or its NewtonDivergence.
+    """
     grads, hessians = line.tail_derivatives
     exps = np.array(line.a.a)
-    eps_q = eps * np.array(line.q)[None, :]
-    eps_s = eps * s
     n = line.n
-    mu = coords.shape[0]
-    z = coords.copy()
+    eps_s = eps_s[:, None]
+    # Hessian entries of the tail: constant ones (every degree-2 tail) are
+    # multiplied by eps*s once per call, the others at every iteration
+    fixed, varying = [], []
+    for i, row in enumerate(hessians):
+        for j, h in enumerate(row):
+            if any(any(exp) for exp in h.terms):
+                varying.append((i, j, h))
+            elif not h.is_zero():
+                fixed.append((i, j, eps_s * h.eval_batch(np.zeros((1, n)))))
+    z = z.copy()
+    errors: list[Optional[NewtonDivergence]] = [None] * len(z)
+    active = np.arange(len(z))
     for _ in range(NEWTON_MAX_ITERATIONS):
-        g = _gradient(z, exps, eps_q, eps_s, grads)
-        jac = np.zeros((mu, n, n), dtype=complex)
+        za = z[active]
+        g = _gradient(za, exps, eps_q[active], eps_s[active], grads)
+        jac = np.zeros(za.shape + (n,), dtype=complex)
         for i in range(n):
-            jac[:, i, i] = exps[i] * z[:, i] ** (exps[i] - 1)
-            for j in range(n):
-                h = hessians[i][j]
-                if not h.is_zero():
-                    jac[:, i, j] -= eps_s * h.eval_batch(z)
+            jac[..., i, i] = exps[i] * za[..., i] ** (exps[i] - 1)
+        for i, j, c in fixed:
+            jac[..., i, j] -= c[active]
+        for i, j, h in varying:
+            jac[..., i, j] -= eps_s[active] * h.eval_batch(za.reshape(-1, n)).reshape(za.shape[:-1])
+        moving = np.ones(len(active), dtype=bool)
         try:
-            delta = np.linalg.solve(jac, g[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError as err:
-            raise NewtonDivergence(f"singular Jacobian during correction: {err}") from err
-        z = z - delta
-        if not np.all(np.isfinite(z)) or np.abs(z).max() > 1.5:
-            raise NewtonDivergence("iterate left the unit polydisc region")
-        rel = float((np.abs(delta) / (1.0 + np.abs(z))).max())
-        if rel <= NEWTON_REL_TOL:
-            return z
-    raise NewtonDivergence(f"no convergence in {NEWTON_MAX_ITERATIONS} iterations")
+            delta = np.linalg.solve(jac, g[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # name the singular samples; every matrix is solved on its own either way
+            delta = np.zeros_like(g)
+            for m, s in enumerate(active):
+                try:
+                    delta[m] = np.linalg.solve(jac[m], g[m][..., None])[..., 0]
+                except np.linalg.LinAlgError as err:
+                    errors[s] = NewtonDivergence(f"singular Jacobian during correction: {err}")
+                    moving[m] = False
+        za = za - delta
+        diverged = moving & (~np.isfinite(za).all(axis=(1, 2)) | (np.abs(za).max(axis=(1, 2)) > 1.5))
+        for s in active[diverged]:
+            errors[s] = NewtonDivergence("iterate left the unit polydisc region")
+        moving &= ~diverged
+        rel = (np.abs(delta[moving]) / (1.0 + np.abs(za[moving]))).max(axis=(1, 2))
+        z[active[moving]] = za[moving]
+        active = active[moving][rel > NEWTON_REL_TOL]
+        if not active.size:
+            return z, errors
+    for s in active:
+        errors[s] = NewtonDivergence(f"no convergence in {NEWTON_MAX_ITERATIONS} iterations")
+    return z, errors
 
 
-def _run_homotopy(line, eps: complex, start: np.ndarray, steps: int, floor: np.ndarray) -> np.ndarray:
+def _run_homotopy(
+    line: GenericLine, eps: np.ndarray, start: np.ndarray, steps: int, floor: np.ndarray
+) -> tuple[np.ndarray, list[Optional[TrackerError]]]:
+    """Step S samples from t = 0 to 1 over a uniform grid of ``steps`` steps.
+
+    A sample stops at its first Newton failure or path collision.  Returns
+    the end points and, per sample, None or the error that stopped it.
+    """
     z = start.copy()
+    errors: list[Optional[TrackerError]] = [None] * len(eps)
+    eps_q = eps[:, None, None] * np.array(line.q)
+    live = np.arange(len(eps))
     for k in range(1, steps + 1):
-        z = _newton_correct(line, eps, k / steps, z)
-        dist = _pairwise_distances(z)
-        if (dist < floor).any():
-            i, j = np.unravel_index(int((dist / floor).argmin()), dist.shape)
-            raise PathCollision(f"points {i} and {j} collided at homotopy step {k}/{steps}")
-    return z
+        corrected, failures = _newton_correct(line, eps_q[live], eps[live] * (k / steps), z[live])
+        ok = np.array([err is None for err in failures], dtype=bool)
+        for s, err in zip(live, failures):
+            errors[s] = err
+        live, corrected = live[ok], corrected[ok]
+        z[live] = corrected
+        dist = _pairwise_distances(corrected)
+        close = dist < floor[live]
+        collided = close.any(axis=(1, 2))
+        for m in np.flatnonzero(collided):
+            rows, cols = np.nonzero(close[m])
+            worst = int((dist[m][rows, cols] / floor[live[m]][rows, cols]).argmin())
+            errors[live[m]] = PathCollision(
+                f"points {rows[worst]} and {cols[worst]} collided at homotopy step {k}/{steps}"
+            )
+        live = live[~collided]
+        if not live.size:
+            break
+    return z, errors
 
 
-def track_to_phi(line: GenericLine, eps: complex) -> CriticalPointSet:
-    """Track the labelled points from the linear direction to the full phi.
+def _collision_floor(line: GenericLine, eps: complex, coords0: np.ndarray) -> np.ndarray:
+    """Per-pair distance below which tracked paths count as collided.
+
+    Raises TrackerError when the predicted per-step Newton correction is not
+    small against the closest pair of start points.
+    """
+    if coords0.shape[0] == 1:
+        return np.zeros((1, 1))
+    dist0 = _pairwise_distances(coords0)
+    min_gap = float(dist0.min())
+    grads, _ = line.tail_derivatives
+    # predicted per-step Newton correction: tail forcing over the diagonal
+    # Jacobian scale, divided across the homotopy steps
+    basin = 0.0
+    for i, ai in enumerate(line.a):
+        g = grads[i]
+        if g.is_zero():
+            continue
+        forcing = float(np.abs(g.eval_batch(coords0)).max()) * abs(eps)
+        jac_scale = ai * abs(line.q[i] * eps) ** ((ai - 1) / ai)
+        basin = max(basin, forcing / jac_scale / DEFAULT_STEPS)
+    if min_gap <= 10.0 * basin:
+        raise TrackerError(
+            f"separable clusters too close for tracking: gap {min_gap:.3e} "
+            f"vs predicted step size {basin:.3e}"
+        )
+    return COLLISION_SHRINK * dist0
+
+
+def _track_paths(
+    line: GenericLine, eps: np.ndarray, start: np.ndarray, floor: np.ndarray
+) -> tuple[np.ndarray, list[Optional[TrackerError]]]:
+    """End points of every sample's homotopy, and per sample None or its error.
+
+    A sample whose paths collide is tracked again from its start points with
+    twice the steps, up to MAX_STEP_DOUBLINGS times; the others are not rerun.
+    """
+    ends = start.copy()
+    errors: list[Optional[TrackerError]] = [None] * len(eps)
+    pending = np.arange(len(eps))
+    for attempt in range(MAX_STEP_DOUBLINGS + 1):
+        steps = DEFAULT_STEPS << attempt
+        z, failures = _run_homotopy(line, eps[pending], start[pending], steps, floor[pending])
+        ends[pending] = z
+        for s, err in zip(pending, failures):
+            errors[s] = err
+        pending = pending[[isinstance(err, PathCollision) for err in failures]]
+        if not pending.size:
+            break
+    return ends, errors
+
+
+def _track(line: GenericLine, eps_samples: Sequence[complex]) -> list[CriticalPointSet]:
+    """Track the labelled points of every sample from the linear direction to the full phi.
 
     The family f - eps*(phi_0 + t*tail) is stepped over a uniform t-grid of
     DEFAULT_STEPS steps with Newton correction of the gradient system; labels
-    are inherited from t = 0.  On a path collision the step count is doubled
-    and the run retried, up to three doublings.
+    are inherited from t = 0.  All samples share one batched homotopy, and
+    each keeps its own convergence test, divergence check and collision
+    floor, so its points are bit-identical to tracking it alone.  A sample
+    whose paths collide is retried with doubled steps, up to three doublings.
+    Raises the error of the first sample, in the given order, that fails,
+    as tracking the samples one after another would.
     """
-    if line.phi_tail.is_zero():
-        return separable_critical_set(line, eps)
     linear_part = GenericLine(line.a, line.q, SparsePoly.zero(line.n))
-    start = separable_critical_set(linear_part, eps)
-    eps = complex(eps)
-    coords0 = start.coords_array()
-    mu = coords0.shape[0]
-
-    if mu > 1:
-        dist0 = _pairwise_distances(coords0)
-        min_gap = float(dist0.min())
-        grads, _ = line.tail_derivatives
-        # predicted per-step Newton correction: tail forcing over the diagonal
-        # Jacobian scale, divided across the homotopy steps
-        basin = 0.0
-        for i, ai in enumerate(line.a):
-            g = grads[i]
-            if g.is_zero():
-                continue
-            forcing = float(np.abs(g.eval_batch(coords0)).max()) * abs(eps)
-            jac_scale = ai * abs(line.q[i] * eps) ** ((ai - 1) / ai)
-            basin = max(basin, forcing / jac_scale / DEFAULT_STEPS)
-        if min_gap <= 10.0 * basin:
-            raise TrackerError(
-                f"separable clusters too close for tracking: gap {min_gap:.3e} "
-                f"vs predicted step size {basin:.3e}"
-            )
-        floor = COLLISION_SHRINK * dist0
-    else:
-        floor = np.zeros((1, 1))
-
-    last_error: Optional[PathCollision] = None
-    coords = None
-    for attempt in range(MAX_STEP_DOUBLINGS + 1):
+    starts, floors = [], []
+    precheck: Optional[Exception] = None
+    for eps in eps_samples:
         try:
-            coords = _run_homotopy(line, eps, coords0, DEFAULT_STEPS << attempt, floor)
+            start = separable_critical_set(linear_part, eps)
+            floors.append(_collision_floor(line, start.epsilon, start.coords_array()))
+        except (ValueError, TrackerError) as err:
+            # later samples cannot fail first; earlier ones are still tracked
+            precheck = err
             break
-        except PathCollision as err:
-            last_error = err
-    if coords is None:
-        assert last_error is not None
-        raise last_error
+        starts.append(start)
 
-    values = _values_at(line, eps, coords)
-    points = tuple(
-        CriticalPoint(p.label, tuple(coords[k]), complex(values[k]))
-        for k, p in enumerate(start.points)
-    )
-    result = CriticalPointSet(eps, points)
-    _validate_set(line, eps, result)
-    return result
+    sets = []
+    if starts:
+        ends, errors = _track_paths(
+            line,
+            np.array([start.epsilon for start in starts]),
+            np.array([start.coords_array() for start in starts]),
+            np.array(floors),
+        )
+        for start, coords, err in zip(starts, ends, errors):
+            if err is not None:
+                raise err
+            values = _values_at(line, start.epsilon, coords)
+            points = tuple(
+                CriticalPoint(p.label, tuple(coords[k]), complex(values[k]))
+                for k, p in enumerate(start.points)
+            )
+            result = CriticalPointSet(start.epsilon, points)
+            _validate_set(line, start.epsilon, result)
+            sets.append(result)
+    if precheck is not None:
+        raise precheck
+    return sets
+
+
+def track_to_phi(line: GenericLine, eps: complex) -> CriticalPointSet:
+    """Track the labelled points of one sample from the linear direction to the full phi."""
+    return critical_sets(line, [eps])[0]
+
+
+def critical_sets(line: GenericLine, eps_samples: Sequence[complex]) -> list[CriticalPointSet]:
+    """critical_set at every sample, tracked in one batched homotopy."""
+    if line.phi_tail.is_zero():
+        return [separable_critical_set(line, eps) for eps in eps_samples]
+    return _track(line, eps_samples)
 
 
 def critical_set(line: GenericLine, eps: complex) -> CriticalPointSet:

@@ -90,6 +90,8 @@ class EpsilonGrid:
             raise ValueError("start magnitude must lie in (0, 1e-2]")
         if self.count < 4:
             raise ValueError("need at least 4 samples")
+        if not math.isfinite(self.phase):
+            raise ValueError(f"ray phase must be finite, got {self.phase}")
 
     def magnitudes(self) -> list[float]:
         return [self.start * self.ratio**k for k in range(self.count)]

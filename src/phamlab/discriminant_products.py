@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .closed_forms import binom12, binom22
-from .critical_tracker import CriticalPointSet, GenericLine, critical_set, line_function
+from .critical_tracker import CriticalPointSet, GenericLine, critical_set, critical_sets, line_function
 from .polyalg import SparsePoly, hessian_det_at
 
 __all__ = [
@@ -189,7 +189,13 @@ def log_hessian_product(f_eps: SparsePoly, points: CriticalPointSet) -> LogProdu
 
 def products_at(line: GenericLine, eps: complex, kinds: Sequence[Kind]) -> dict[Kind, LogProduct]:
     """Evaluate the requested products at one ray parameter."""
-    points = critical_set(line, eps)
+    return _products(line, eps, critical_set(line, eps), kinds)
+
+
+def _products(
+    line: GenericLine, eps: complex, points: CriticalPointSet, kinds: Sequence[Kind]
+) -> dict[Kind, LogProduct]:
+    """The requested products over ``points``, the critical set at eps."""
     values = points.values()
     labels = points.labels()
     out: dict[Kind, LogProduct] = {}
@@ -239,6 +245,8 @@ class LogProductTrace:
 def evaluate_trace(
     line: GenericLine, eps_samples: Sequence[complex], kinds: Sequence[Kind]
 ) -> LogProductTrace:
+    """Products at every sample; the critical sets of all samples are tracked together."""
     kinds = list(kinds)
-    samples = tuple(products_at(line, eps, kinds) for eps in eps_samples)
+    sets = critical_sets(line, eps_samples)
+    samples = tuple(_products(line, eps, points, kinds) for eps, points in zip(eps_samples, sets))
     return LogProductTrace(tuple(eps_samples), samples)

@@ -97,7 +97,8 @@ class TestVerify:
         path = tmp_path / "slopes.csv"
         code, _, _ = run(capsys, "verify", "3", "--slopes-csv", str(path))
         assert code == 0
-        rows = list(csv.reader(path.open()))
+        with path.open(newline="") as handle:
+            rows = list(csv.reader(handle))
         assert rows[0] == ["kind", "eps_magnitude", "log_total", "slope"]
         assert len(rows) == 1 + 4 * 7  # four kinds, seven samples each
 
@@ -128,7 +129,8 @@ class TestTrace:
         path = tmp_path / "factors.csv"
         code, _, _ = run(capsys, "trace", "3", "--kind", "Y_triple", "--out", str(path))
         assert code == 0
-        rows = list(csv.reader(path.open()))
+        with path.open(newline="") as handle:
+            rows = list(csv.reader(handle))
         assert rows[0] == ["kind", "indices", "log_magnitude"]
         assert len(rows) == 1 + 3
         assert all(r[0] == "Y_triple" for r in rows[1:])
@@ -137,6 +139,22 @@ class TestTrace:
         code, out, _ = run(capsys, "trace", "4", "--kind", "Omega_quad")
         assert code == 0
         assert "ExactZero" in out
+
+
+class TestNonFinitePhase:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("cluster", "3", "--phase", "inf"), "eps must be finite"),
+            (("trace", "3", "--phase", "nan"), "eps must be finite"),
+            (("verify", "3", "--phase", "inf"), "ray phase must be finite"),
+        ],
+    )
+    def test_rejected_with_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
 
 class TestPresets:

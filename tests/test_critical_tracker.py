@@ -2,22 +2,34 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 
+from phamlab import critical_tracker
 from phamlab.closed_forms import ExponentVector
 from phamlab.critical_tracker import (
+    COLLISION_SHRINK,
+    DEFAULT_STEPS,
+    MAX_STEP_DOUBLINGS,
+    NEWTON_MAX_ITERATIONS,
+    NEWTON_REL_TOL,
+    CriticalPoint,
     CriticalPointSet,
     GenericLine,
+    NewtonDivergence,
+    PathCollision,
     TrackerError,
     critical_set,
+    critical_sets,
     default_line,
     jittered_line,
     line_function,
     separable_critical_set,
     track_to_phi,
 )
+from phamlab.degree_lab import EpsilonGrid
 from phamlab.polyalg import SparsePoly, univariate_roots
 
 EPS = 1e-3 * cmath.exp(0.37j)
@@ -138,6 +150,15 @@ class TestSeparable:
             separable_critical_set(default_line((3,)), 0.5)
         with pytest.raises(ValueError):
             separable_critical_set(default_line((3,)), 0.0)
+
+    @pytest.mark.parametrize(
+        "eps", [complex(math.nan, math.nan), complex(math.inf, 0.0), complex(1e-3, math.nan)]
+    )
+    def test_rejects_non_finite_eps(self, eps):
+        with pytest.raises(ValueError, match="eps must be finite"):
+            separable_critical_set(default_line((3,)), eps)
+        with pytest.raises(ValueError, match="eps must be finite"):
+            critical_sets(default_line((3, 3), "xy_coupled"), [EPS, eps])
 
     def test_rejects_tail(self):
         line = default_line((4,), "quadratic_1d")
@@ -263,3 +284,183 @@ class TestRootFinderOracle:
         assert dist.min(axis=1).max() <= 1e-12
         gaps = np.abs(roots[:, None] - roots[None, :]) + np.diag(np.full(a, np.inf))
         assert gaps.min() > 1e3 * dist.min(axis=1).max()
+
+
+# -- reference: the per-sample tracker loop that critical_sets must match bit for bit --
+
+
+def _reference_gradient(z, exps, eps_q, eps_s, grads):
+    g = z**exps - eps_q
+    for i, grad in enumerate(grads):
+        if not grad.is_zero():
+            g[:, i] -= eps_s * grad.eval_batch(z)
+    return g
+
+
+def _reference_distances(coords):
+    diff = coords[:, None, :] - coords[None, :, :]
+    dist = np.sqrt((np.abs(diff) ** 2).sum(axis=2))
+    np.fill_diagonal(dist, np.inf)
+    return dist
+
+
+def _reference_newton(line, eps, s, coords):
+    grads, hessians = line.tail_derivatives
+    exps = np.array(line.a.a)
+    eps_q = eps * np.array(line.q)[None, :]
+    eps_s = eps * s
+    n = line.n
+    mu = coords.shape[0]
+    z = coords.copy()
+    for _ in range(NEWTON_MAX_ITERATIONS):
+        g = _reference_gradient(z, exps, eps_q, eps_s, grads)
+        jac = np.zeros((mu, n, n), dtype=complex)
+        for i in range(n):
+            jac[:, i, i] = exps[i] * z[:, i] ** (exps[i] - 1)
+            for j in range(n):
+                h = hessians[i][j]
+                if not h.is_zero():
+                    jac[:, i, j] -= eps_s * h.eval_batch(z)
+        try:
+            delta = np.linalg.solve(jac, g[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError as err:
+            raise NewtonDivergence(f"singular Jacobian during correction: {err}") from err
+        z = z - delta
+        if not np.all(np.isfinite(z)) or np.abs(z).max() > 1.5:
+            raise NewtonDivergence("iterate left the unit polydisc region")
+        rel = float((np.abs(delta) / (1.0 + np.abs(z))).max())
+        if rel <= NEWTON_REL_TOL:
+            return z
+    raise NewtonDivergence(f"no convergence in {NEWTON_MAX_ITERATIONS} iterations")
+
+
+def _reference_homotopy(line, eps, start, steps, floor):
+    z = start.copy()
+    for k in range(1, steps + 1):
+        z = _reference_newton(line, eps, k / steps, z)
+        dist = _reference_distances(z)
+        if (dist < floor).any():
+            i, j = np.unravel_index(int((dist / floor).argmin()), dist.shape)
+            raise PathCollision(f"points {i} and {j} collided at homotopy step {k}/{steps}")
+    return z
+
+
+def _reference_track(line, eps):
+    linear_part = GenericLine(line.a, line.q, SparsePoly.zero(line.n))
+    start = separable_critical_set(linear_part, eps)
+    eps = complex(eps)
+    coords0 = start.coords_array()
+    mu = coords0.shape[0]
+    if mu > 1:
+        dist0 = _reference_distances(coords0)
+        min_gap = float(dist0.min())
+        grads, _ = line.tail_derivatives
+        basin = 0.0
+        for i, ai in enumerate(line.a):
+            g = grads[i]
+            if g.is_zero():
+                continue
+            forcing = float(np.abs(g.eval_batch(coords0)).max()) * abs(eps)
+            jac_scale = ai * abs(line.q[i] * eps) ** ((ai - 1) / ai)
+            basin = max(basin, forcing / jac_scale / DEFAULT_STEPS)
+        if min_gap <= 10.0 * basin:
+            raise TrackerError(
+                f"separable clusters too close for tracking: gap {min_gap:.3e} "
+                f"vs predicted step size {basin:.3e}"
+            )
+        floor = COLLISION_SHRINK * dist0
+    else:
+        floor = np.zeros((1, 1))
+    last_error = None
+    coords = None
+    for attempt in range(MAX_STEP_DOUBLINGS + 1):
+        try:
+            coords = _reference_homotopy(line, eps, coords0, DEFAULT_STEPS << attempt, floor)
+            break
+        except PathCollision as err:
+            last_error = err
+    if coords is None:
+        raise last_error
+    values = critical_tracker._values_at(line, eps, coords)
+    points = tuple(
+        CriticalPoint(p.label, tuple(coords[k]), complex(values[k]))
+        for k, p in enumerate(start.points)
+    )
+    result = CriticalPointSet(eps, points)
+    critical_tracker._validate_set(line, eps, result)
+    return result
+
+
+def _failure(call):
+    try:
+        call()
+    except (ValueError, TrackerError) as err:
+        return type(err), str(err)
+    return None
+
+
+GRIDS = {
+    "default": EpsilonGrid(),
+    "deep": EpsilonGrid(start=1e-3, count=9),
+    "phase": EpsilonGrid(phase=0.5),
+}
+
+
+class TestBatchedTracking:
+    """critical_sets against tracking each sample alone with the reference loop."""
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize(
+        "exps, preset, jitter",
+        [
+            ((3, 2), "xy_coupled", None),
+            ((3, 2), "xy_coupled", 7),
+            ((5, 3), "xy_coupled", None),
+            ((5, 3), "xy_coupled", 7),
+            ((7, 5), "xy_coupled", None),
+            ((7, 5), "xy_coupled", 7),
+            ((4,), "quadratic_1d", None),
+            ((8,), "quadratic_1d", None),
+        ],
+    )
+    def test_sets_bit_identical_to_one_at_a_time(self, exps, preset, jitter, grid):
+        line = default_line(exps, preset)
+        if jitter is not None:
+            line = jittered_line(line, jitter)
+        samples = GRIDS[grid].samples()
+        assert critical_sets(line, samples) == [_reference_track(line, eps) for eps in samples]
+
+    @pytest.mark.parametrize("coefficient, ascending", [(80.0, False), (80.0, True), (2.0, True)])
+    def test_first_failing_sample_raises(self, coefficient, ascending):
+        # the wild tail of test_precheck_rejects_wild_tail fails the precheck at
+        # every sample; the milder one only at |eps| >= 1e-3, so ascending, four
+        # samples are tracked before the first failure
+        a = ExponentVector((3, 3))
+        wild = GenericLine(a, (1.0, 0.01), SparsePoly(2, {(1, 1): coefficient}))
+        samples = EpsilonGrid().samples()
+        if ascending:
+            samples = samples[::-1]
+
+        def one_at_a_time():
+            for eps in samples:
+                _reference_track(wild, eps)
+
+        expected = _failure(one_at_a_time)
+        assert expected is not None
+        assert _failure(lambda: critical_sets(wild, samples)) == expected
+
+    def test_linear_line_uses_closed_forms(self):
+        line = default_line((5, 3))
+        samples = EpsilonGrid().samples()
+        assert critical_sets(line, samples) == [separable_critical_set(line, eps) for eps in samples]
+
+    def test_collision_names_two_distinct_points(self, monkeypatch):
+        # a floor above every start distance collides at the first step of every attempt
+        monkeypatch.setattr(critical_tracker, "COLLISION_SHRINK", 2.0)
+        line = default_line((3, 3), "xy_coupled")
+        with pytest.raises(PathCollision) as info:
+            critical_sets(line, [EPS, EPS / 10])
+        steps = DEFAULT_STEPS << MAX_STEP_DOUBLINGS
+        pattern = rf"points (\d+) and (\d+) collided at homotopy step 1/{steps}"
+        i, j = re.fullmatch(pattern, str(info.value)).groups()
+        assert i != j

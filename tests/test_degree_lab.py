@@ -42,6 +42,9 @@ class TestEpsilonGrid:
             EpsilonGrid(ratio=1.5)
         with pytest.raises(ValueError):
             EpsilonGrid(count=3)
+        for phase in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="ray phase must be finite"):
+                EpsilonGrid(phase=phase)
 
 
 class TestEstimateDegree:
