@@ -9,7 +9,7 @@ first i label entries form a depth-i collection.
 
 Nonlinear directions are reached by a stepped homotopy from phi_0 to phi with
 Newton correction of the gradient system, inheriting labels from the start.
-All samples of a grid are tracked in one batched homotopy (critical_sets);
+All samples of a grid are tracked in one batched homotopy (TrackedBatch);
 each sample keeps its own Newton stopping test, divergence check and collision
 floor, so its points are bit-identical to tracking it alone.
 """
@@ -40,6 +40,7 @@ __all__ = [
     "default_line",
     "jittered_line",
     "separable_critical_set",
+    "TrackedBatch",
     "track_to_phi",
     "critical_set",
     "critical_sets",
@@ -474,69 +475,92 @@ def _track_paths(
     return ends, errors
 
 
-def _track(line: GenericLine, eps_samples: Sequence[complex]) -> list[CriticalPointSet]:
-    """Track the labelled points of every sample from the linear direction to the full phi.
+class TrackedBatch:
+    """The samples of one line after one batched homotopy.
 
-    The family f - eps*(phi_0 + t*tail) is stepped over a uniform t-grid of
-    DEFAULT_STEPS steps with Newton correction of the gradient system; labels
-    are inherited from t = 0.  All samples share one batched homotopy, and
-    each keeps its own convergence test, divergence check and collision
-    floor, so its points are bit-identical to tracking it alone.  A sample
-    whose paths collide is retried with doubled steps, up to three doublings.
-    Raises the error of the first sample, in the given order, that fails,
-    as tracking the samples one after another would.
+    Maps each sample eps to its labelled start set on the linear part and the
+    end points of its paths, or to the error that stopped it.  Every sample
+    keeps its own convergence test, divergence check and collision floor, so
+    its end points are bit-identical to tracking it alone.  An empty tail
+    needs no tracking, so its batch holds nothing.
     """
-    linear_part = GenericLine(line.a, line.q, SparsePoly.zero(line.n))
-    starts, floors = [], []
-    precheck: Optional[Exception] = None
-    for eps in eps_samples:
-        try:
-            start = separable_critical_set(linear_part, eps)
-            floors.append(_collision_floor(line, start.epsilon, start.coords_array()))
-        except (ValueError, TrackerError) as err:
-            # later samples cannot fail first; earlier ones are still tracked
-            precheck = err
-            break
-        starts.append(start)
 
-    sets = []
-    if starts:
+    def __init__(self, line: GenericLine, eps_samples: Sequence[complex]) -> None:
+        self.line = line
+        self.outcomes: dict[complex, tuple[CriticalPointSet, np.ndarray] | Exception] = {}
+        if line.phi_tail.is_zero():
+            return
+        linear_part = GenericLine(line.a, line.q, SparsePoly.zero(line.n))
+        tracked, starts, floors = [], [], []
+        for eps in eps_samples:
+            try:
+                start = separable_critical_set(linear_part, eps)
+                floors.append(_collision_floor(line, start.epsilon, start.coords_array()))
+            except (ValueError, TrackerError) as err:
+                self.outcomes[eps] = err
+                continue
+            tracked.append(eps)
+            starts.append(start)
+        if not tracked:
+            return
         ends, errors = _track_paths(
             line,
             np.array([start.epsilon for start in starts]),
             np.array([start.coords_array() for start in starts]),
             np.array(floors),
         )
-        for start, coords, err in zip(starts, ends, errors):
-            if err is not None:
-                raise err
-            values = _values_at(line, start.epsilon, coords)
-            points = tuple(
-                CriticalPoint(p.label, tuple(coords[k]), complex(values[k]))
-                for k, p in enumerate(start.points)
-            )
-            result = CriticalPointSet(start.epsilon, points)
-            _validate_set(line, start.epsilon, result)
-            sets.append(result)
-    if precheck is not None:
-        raise precheck
-    return sets
+        for eps, start, coords, err in zip(tracked, starts, ends, errors):
+            self.outcomes[eps] = err if err is not None else (start, coords)
 
 
-def track_to_phi(line: GenericLine, eps: complex) -> CriticalPointSet:
-    """Track the labelled points of one sample from the linear direction to the full phi."""
-    return critical_sets(line, [eps])[0]
+def track_to_phi(
+    line: GenericLine, eps: complex, batch: Optional[TrackedBatch] = None
+) -> CriticalPointSet:
+    """Track the labelled points of one sample from the linear direction to the full phi.
 
-
-def critical_sets(line: GenericLine, eps_samples: Sequence[complex]) -> list[CriticalPointSet]:
-    """critical_set at every sample, tracked in one batched homotopy."""
+    The family f - eps*(phi_0 + t*tail) is stepped over a uniform t-grid of
+    DEFAULT_STEPS steps with Newton correction of the gradient system; labels
+    are inherited from t = 0.  Paths that collide are retracked with doubled
+    steps, up to three doublings.  ``batch``, built over samples that include
+    eps, supplies the path ends; without it eps is tracked alone.  An empty
+    tail needs no tracking and gets the closed form.
+    """
     if line.phi_tail.is_zero():
-        return [separable_critical_set(line, eps) for eps in eps_samples]
-    return _track(line, eps_samples)
+        return separable_critical_set(line, eps)
+    if batch is None:
+        batch = TrackedBatch(line, [eps])
+    elif batch.line != line:
+        raise ValueError("the batch was tracked on another line")
+    if eps not in batch.outcomes:
+        raise ValueError(f"eps {eps} was not tracked in this batch")
+    outcome = batch.outcomes[eps]
+    if isinstance(outcome, Exception):
+        raise outcome
+    start, coords = outcome
+    values = _values_at(line, start.epsilon, coords)
+    points = tuple(
+        CriticalPoint(p.label, tuple(coords[k]), complex(values[k]))
+        for k, p in enumerate(start.points)
+    )
+    result = CriticalPointSet(start.epsilon, points)
+    _validate_set(line, start.epsilon, result)
+    return result
 
 
-def critical_set(line: GenericLine, eps: complex) -> CriticalPointSet:
+def critical_set(
+    line: GenericLine, eps: complex, batch: Optional[TrackedBatch] = None
+) -> CriticalPointSet:
     """Closed form for empty tails, homotopy tracking otherwise."""
     if line.phi_tail.is_zero():
         return separable_critical_set(line, eps)
-    return track_to_phi(line, eps)
+    return track_to_phi(line, eps, batch)
+
+
+def critical_sets(line: GenericLine, eps_samples: Sequence[complex]) -> list[CriticalPointSet]:
+    """critical_set at every sample, tracked in one batched homotopy.
+
+    Raises the error of the first sample, in the given order, that fails, as
+    tracking the samples one after another would.
+    """
+    batch = TrackedBatch(line, eps_samples)
+    return [critical_set(line, eps, batch) for eps in eps_samples]

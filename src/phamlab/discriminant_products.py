@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .closed_forms import binom12, binom22
-from .critical_tracker import CriticalPointSet, GenericLine, critical_set, critical_sets, line_function
+from .critical_tracker import CriticalPointSet, GenericLine, TrackedBatch, critical_set, line_function
 from .polyalg import SparsePoly, hessian_det_at
 
 __all__ = [
@@ -187,15 +187,14 @@ def log_hessian_product(f_eps: SparsePoly, points: CriticalPointSet) -> LogProdu
     return _log_product(Kind.HESSIAN, np.array(dets, dtype=complex), dets, rows, points.labels())
 
 
-def products_at(line: GenericLine, eps: complex, kinds: Sequence[Kind]) -> dict[Kind, LogProduct]:
-    """Evaluate the requested products at one ray parameter."""
-    return _products(line, eps, critical_set(line, eps), kinds)
-
-
-def _products(
-    line: GenericLine, eps: complex, points: CriticalPointSet, kinds: Sequence[Kind]
+def products_at(
+    line: GenericLine, eps: complex, kinds: Sequence[Kind], batch: Optional[TrackedBatch] = None
 ) -> dict[Kind, LogProduct]:
-    """The requested products over ``points``, the critical set at eps."""
+    """Evaluate the requested products at one ray parameter.
+
+    ``batch``, tracked over samples that include eps, supplies the critical set's paths.
+    """
+    points = critical_set(line, eps, batch)
     values = points.values()
     labels = points.labels()
     out: dict[Kind, LogProduct] = {}
@@ -247,6 +246,6 @@ def evaluate_trace(
 ) -> LogProductTrace:
     """Products at every sample; the critical sets of all samples are tracked together."""
     kinds = list(kinds)
-    sets = critical_sets(line, eps_samples)
-    samples = tuple(_products(line, eps, points, kinds) for eps, points in zip(eps_samples, sets))
+    batch = TrackedBatch(line, eps_samples)
+    samples = tuple(products_at(line, eps, kinds, batch) for eps in eps_samples)
     return LogProductTrace(tuple(eps_samples), samples)

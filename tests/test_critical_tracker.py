@@ -20,6 +20,7 @@ from phamlab.critical_tracker import (
     GenericLine,
     NewtonDivergence,
     PathCollision,
+    TrackedBatch,
     TrackerError,
     critical_set,
     critical_sets,
@@ -448,6 +449,16 @@ class TestBatchedTracking:
         expected = _failure(one_at_a_time)
         assert expected is not None
         assert _failure(lambda: critical_sets(wild, samples)) == expected
+
+    def test_batch_serves_only_its_own_line_and_samples(self):
+        line = default_line((3, 3), "xy_coupled")
+        batch = TrackedBatch(line, [EPS, EPS / 10])
+        assert track_to_phi(line, EPS / 10, batch) == track_to_phi(line, EPS / 10)
+        assert critical_set(line, EPS, batch) == _reference_track(line, EPS)
+        with pytest.raises(ValueError, match="not tracked in this batch"):
+            track_to_phi(line, EPS / 100, batch)
+        with pytest.raises(ValueError, match="another line"):
+            track_to_phi(jittered_line(line, 7), EPS, batch)
 
     def test_linear_line_uses_closed_forms(self):
         line = default_line((5, 3))

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from phamlab import discriminant_products
@@ -147,6 +148,27 @@ class TestProductsAt:
         out = products_at(line, EPS, list(Kind))
         for kind in Kind:
             assert len(out[kind].factors) == factor_count(kind, 9)
+
+    def test_trace_takes_each_tracked_set_through_critical_set(self, monkeypatch):
+        # the batched trace still asks critical_set once per sample, and gets
+        # the products of tracking each sample alone
+        line = default_line((3, 2), "xy_coupled")
+        samples = [m * cmath.exp(0.37j) for m in (1e-3, 10**-3.5, 1e-4)]
+        expected = [products_at(line, eps, list(Kind)) for eps in samples]
+        calls = []
+
+        def counted(line, eps, batch=None):
+            calls.append(eps)
+            return critical_set(line, eps, batch)
+
+        monkeypatch.setattr(discriminant_products, "critical_set", counted)
+        trace = evaluate_trace(line, samples, list(Kind))
+        assert calls == samples
+        for got, want in zip(trace.samples, expected):
+            assert list(got) == list(want)
+            for kind in Kind:
+                assert got[kind].total == want[kind].total
+                np.testing.assert_array_equal(got[kind].logs, want[kind].logs)
 
     def test_trace_alignment(self):
         line = default_line((3,))
