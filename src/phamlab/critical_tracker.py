@@ -9,9 +9,10 @@ first i label entries form a depth-i collection.
 
 Nonlinear directions are reached by a stepped homotopy from phi_0 to phi with
 Newton correction of the gradient system, inheriting labels from the start.
-All samples of a grid are tracked in one batched homotopy (TrackedBatch);
-each sample keeps its own Newton stopping test, divergence check and collision
-floor, so its points are bit-identical to tracking it alone.
+All samples of a grid go through one batched homotopy (TrackedBatch), which
+retracks colliding samples with doubled steps; each sample keeps its own Newton
+stopping test, divergence check and collision floor, so its points are
+bit-identical to tracking it alone.  critical_set labels one sample's points.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "TrackedBatch",
     "track_to_phi",
     "critical_set",
-    "critical_sets",
     "line_function",
 ]
 
@@ -340,15 +340,6 @@ def _newton_correct(
     exps = np.array(line.a.a)
     n = line.n
     eps_s = eps_s[:, None]
-    # Hessian entries of the tail: constant ones (every degree-2 tail) are
-    # multiplied by eps*s once per call, the others at every iteration
-    fixed, varying = [], []
-    for i, row in enumerate(hessians):
-        for j, h in enumerate(row):
-            if any(any(exp) for exp in h.terms):
-                varying.append((i, j, h))
-            elif not h.is_zero():
-                fixed.append((i, j, eps_s * h.eval_batch(np.zeros((1, n)))))
     z = z.copy()
     errors: list[Optional[NewtonDivergence]] = [None] * len(z)
     active = np.arange(len(z))
@@ -358,10 +349,9 @@ def _newton_correct(
         jac = np.zeros(za.shape + (n,), dtype=complex)
         for i in range(n):
             jac[..., i, i] = exps[i] * za[..., i] ** (exps[i] - 1)
-        for i, j, c in fixed:
-            jac[..., i, j] -= c[active]
-        for i, j, h in varying:
-            jac[..., i, j] -= eps_s[active] * h.eval_batch(za.reshape(-1, n)).reshape(za.shape[:-1])
+            for j, h in enumerate(hessians[i]):
+                if not h.is_zero():
+                    jac[..., i, j] -= eps_s[active] * h.eval_batch(za.reshape(-1, n)).reshape(za.shape[:-1])
         moving = np.ones(len(active), dtype=bool)
         try:
             delta = np.linalg.solve(jac, g[..., None])[..., 0]
@@ -452,29 +442,6 @@ def _collision_floor(line: GenericLine, eps: complex, coords0: np.ndarray) -> np
     return COLLISION_SHRINK * dist0
 
 
-def _track_paths(
-    line: GenericLine, eps: np.ndarray, start: np.ndarray, floor: np.ndarray
-) -> tuple[np.ndarray, list[Optional[TrackerError]]]:
-    """End points of every sample's homotopy, and per sample None or its error.
-
-    A sample whose paths collide is tracked again from its start points with
-    twice the steps, up to MAX_STEP_DOUBLINGS times; the others are not rerun.
-    """
-    ends = start.copy()
-    errors: list[Optional[TrackerError]] = [None] * len(eps)
-    pending = np.arange(len(eps))
-    for attempt in range(MAX_STEP_DOUBLINGS + 1):
-        steps = DEFAULT_STEPS << attempt
-        z, failures = _run_homotopy(line, eps[pending], start[pending], steps, floor[pending])
-        ends[pending] = z
-        for s, err in zip(pending, failures):
-            errors[s] = err
-        pending = pending[[isinstance(err, PathCollision) for err in failures]]
-        if not pending.size:
-            break
-    return ends, errors
-
-
 class TrackedBatch:
     """The samples of one line after one batched homotopy.
 
@@ -503,14 +470,19 @@ class TrackedBatch:
             starts.append(start)
         if not tracked:
             return
-        ends, errors = _track_paths(
-            line,
-            np.array([start.epsilon for start in starts]),
-            np.array([start.coords_array() for start in starts]),
-            np.array(floors),
-        )
-        for eps, start, coords, err in zip(tracked, starts, ends, errors):
-            self.outcomes[eps] = err if err is not None else (start, coords)
+        # a sample whose paths collide is tracked again from its start points
+        # with twice the steps, up to MAX_STEP_DOUBLINGS times; the others are not rerun
+        epsilons = np.array([start.epsilon for start in starts])
+        coords0 = np.array([start.coords_array() for start in starts])
+        floor = np.array(floors)
+        pending = np.arange(len(starts))
+        for steps in (DEFAULT_STEPS << attempt for attempt in range(MAX_STEP_DOUBLINGS + 1)):
+            ends, failures = _run_homotopy(line, epsilons[pending], coords0[pending], steps, floor[pending])
+            for s, coords, err in zip(pending, ends, failures):
+                self.outcomes[tracked[s]] = err if err is not None else (starts[s], coords)
+            pending = pending[[isinstance(err, PathCollision) for err in failures]]
+            if not pending.size:
+                break
 
 
 def track_to_phi(
@@ -554,13 +526,3 @@ def critical_set(
     if line.phi_tail.is_zero():
         return separable_critical_set(line, eps)
     return track_to_phi(line, eps, batch)
-
-
-def critical_sets(line: GenericLine, eps_samples: Sequence[complex]) -> list[CriticalPointSet]:
-    """critical_set at every sample, tracked in one batched homotopy.
-
-    Raises the error of the first sample, in the given order, that fails, as
-    tracking the samples one after another would.
-    """
-    batch = TrackedBatch(line, eps_samples)
-    return [critical_set(line, eps, batch) for eps in eps_samples]

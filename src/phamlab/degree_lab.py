@@ -229,10 +229,10 @@ def estimate_degree(line: GenericLine, kind: Kind, grid: EpsilonGrid = EpsilonGr
 
 
 class UnclassifiedFactor(Exception):
-    def __init__(self, indices, slope: float, admissible):
+    def __init__(self, indices, slope: float, admissible, tolerance: float):
         super().__init__(
-            f"factor {indices} has slope {slope:.4f}, not within "
-            f"{CLASSIFY_TOLERANCE} of any admissible exponent {sorted(admissible)}"
+            f"factor {indices} has slope {slope:.4f}, more than {tolerance:.4g} "
+            f"from the nearest admissible exponent in {sorted(admissible)}"
         )
         self.indices = indices
         self.slope = slope
@@ -264,8 +264,10 @@ def classify_factors(
     """Snap every factor's decay exponent and count them per exponent.
 
     The slope of each factor is measured between the two smallest samples,
-    where curvature from next-order terms is weakest.  The product restricted
-    to the line is holomorphic, so a non-integer total degree raises ValueError.
+    where curvature from next-order terms is weakest.  It snaps to the nearest
+    admissible exponent only within min(CLASSIFY_TOLERANCE, half the gap to the
+    next one).  The product restricted to the line is holomorphic, so a
+    non-integer total degree raises ValueError.
     """
     ev = _ev(a)
     if kind is None:
@@ -278,14 +280,16 @@ def classify_factors(
     if trace.has_zero(kind):
         raise ValueError("degenerate trace: structural zero factors cannot be classified")
     admissible = admissible_factor_exponents(ev, kind)
+    half_gaps = {e: [float(abs(e - other)) / 2 for other in admissible if other != e] for e in admissible}
+    tolerance = {e: min([CLASSIFY_TOLERANCE] + gaps) for e, gaps in half_gaps.items()}
     last = trace.samples[-1][kind]
     prev = trace.samples[-2][kind]
     dlog = math.log(abs(trace.epsilon_samples[-1])) - math.log(abs(trace.epsilon_samples[-2]))
     counts: dict[Fraction, int] = {}
     for k, slope in enumerate(((last.logs - prev.logs) / dlog).tolist()):
         best = min(admissible, key=lambda e: abs(slope - float(e)))
-        if abs(slope - float(best)) > CLASSIFY_TOLERANCE:
-            raise UnclassifiedFactor(last.factors[k].indices, slope, admissible)
+        if abs(slope - float(best)) > tolerance[best]:
+            raise UnclassifiedFactor(last.record(k).indices, slope, admissible, tolerance[best])
         counts[best] = counts.get(best, 0) + 1
     histogram = FactorHistogram(kind, dict(sorted(counts.items())))
     if histogram.total_degree().denominator != 1:
@@ -385,6 +389,8 @@ def cluster_scaling(
     with no qualifying pairs pass vacuously.
     """
     m1, m2 = (float(x) for x in eps_pair)
+    if not all(math.isfinite(m) and m > 0 for m in (m1, m2)):
+        raise ValueError(f"the two magnitudes must be finite and > 0, got {m1} and {m2}")
     if m1 == m2:
         raise ValueError("the two magnitudes must differ")
     ray = cmath.exp(1j * phase)

@@ -20,7 +20,9 @@ the row applies left to right; a mirrored D or Omega configuration is the exact
 negation of one evaluated once; magnitudes come from np.hypot, logs from
 math.log per factor, and each total is a left-to-right sum() in tuple order
 (numpy's abs, log and sum change the last bits).  FactorRecords are built only
-when LogProduct.factors is read; a degenerate hint builds its one record alone.
+on demand by LogProduct.record, so a degenerate hint builds its one record alone.
+products_at takes one sample's tracked critical set, and the Hessian product
+differentiates f - eps*phi once per sample.
 """
 
 from __future__ import annotations
@@ -99,13 +101,16 @@ class LogProduct:
     rows: np.ndarray
     labels: tuple
 
+    def record(self, k: int) -> FactorRecord:
+        """The record of factor k, built on demand."""
+        log = float(self.logs[k])
+        labels = tuple(self.labels[i] for i in self.rows[k].tolist())
+        return FactorRecord(self.kind, labels, None if math.isnan(log) else log)
+
     @cached_property
     def factors(self) -> tuple[FactorRecord, ...]:
         """One record per factor, built on first access."""
-        return tuple(
-            FactorRecord(self.kind, tuple(self.labels[i] for i in row), None if math.isnan(log) else log)
-            for row, log in zip(self.rows.tolist(), self.logs.tolist())
-        )
+        return tuple(map(self.record, range(len(self.logs))))
 
     @property
     def zero_count(self) -> int:
@@ -182,19 +187,15 @@ def log_Omega(values: Sequence[complex], labels: Optional[Sequence] = None) -> L
 
 def log_hessian_product(f_eps: SparsePoly, points: CriticalPointSet) -> LogProduct:
     """Product over the critical points of |det Hess(f - eps*phi)|."""
-    dets = [hessian_det_at(f_eps, p.coords) for p in points.points]
+    dets = hessian_det_at(f_eps, [p.coords for p in points.points])
     rows = np.arange(len(dets))[:, None]
     return _log_product(Kind.HESSIAN, np.array(dets, dtype=complex), dets, rows, points.labels())
 
 
 def products_at(
-    line: GenericLine, eps: complex, kinds: Sequence[Kind], batch: Optional[TrackedBatch] = None
+    line: GenericLine, points: CriticalPointSet, kinds: Sequence[Kind]
 ) -> dict[Kind, LogProduct]:
-    """Evaluate the requested products at one ray parameter.
-
-    ``batch``, tracked over samples that include eps, supplies the critical set's paths.
-    """
-    points = critical_set(line, eps, batch)
+    """Evaluate the requested products over ``points``, the critical set of line at points.epsilon."""
     values = points.values()
     labels = points.labels()
     out: dict[Kind, LogProduct] = {}
@@ -206,7 +207,7 @@ def products_at(
         elif kind is Kind.OMEGA_QUAD:
             out[kind] = log_Omega(values, labels)
         elif kind is Kind.HESSIAN:
-            out[kind] = log_hessian_product(line_function(line, eps), points)
+            out[kind] = log_hessian_product(line_function(line, points.epsilon), points)
         else:
             raise ValueError(f"unknown product kind {kind}")
         expected = factor_count(kind, line.a.mu)
@@ -236,16 +237,18 @@ class LogProductTrace:
         for s in self.samples:
             product = s[kind]
             if product.has_zero:
-                row = product.rows[int(np.isnan(product.logs).argmax())].tolist()
-                return FactorRecord(kind, tuple(product.labels[i] for i in row), None)
+                return product.record(int(np.isnan(product.logs).argmax()))
         return None
 
 
 def evaluate_trace(
     line: GenericLine, eps_samples: Sequence[complex], kinds: Sequence[Kind]
 ) -> LogProductTrace:
-    """Products at every sample; the critical sets of all samples are tracked together."""
+    """Products at every sample; the critical sets of all samples are tracked together.
+
+    Raises the error of the first sample, in the given order, whose set fails.
+    """
     kinds = list(kinds)
     batch = TrackedBatch(line, eps_samples)
-    samples = tuple(products_at(line, eps, kinds, batch) for eps in eps_samples)
+    samples = tuple(products_at(line, critical_set(line, eps, batch), kinds) for eps in eps_samples)
     return LogProductTrace(tuple(eps_samples), samples)

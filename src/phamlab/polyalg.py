@@ -147,18 +147,17 @@ class SparsePoly:
         return cls(n, terms)
 
 
-def hessian_det_at(p: SparsePoly, z: Sequence[complex]) -> complex:
-    """Determinant of the second-derivative matrix at z."""
-    if len(z) != p.n_vars:
-        raise ValueError(f"point has {len(z)} coordinates, polynomial has {p.n_vars}")
+def hessian_det_at(p: SparsePoly, points: Sequence[Sequence[complex]]) -> list[complex]:
+    """Determinant of the second-derivative matrix at each point; p is differentiated once."""
     n = p.n_vars
     firsts = [p.diff(i) for i in range(n)]
-    entries = [[firsts[i].diff(j).evaluate(z) for j in range(n)] for i in range(n)]
+    seconds = [[firsts[i].diff(j) for j in range(n)] for i in range(n)]
+    matrices = [[[h.evaluate(z) for h in row] for row in seconds] for z in points]
     if n == 1:
-        return entries[0][0]
+        return [m[0][0] for m in matrices]
     if n == 2:
-        return entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0]
-    return complex(np.linalg.det(np.array(entries, dtype=complex)))
+        return [m[0][0] * m[1][1] - m[0][1] * m[1][0] for m in matrices]
+    return [complex(np.linalg.det(np.array(m, dtype=complex))) for m in matrices]
 
 
 def _horner_pair(coeffs: Sequence[complex], z: complex) -> tuple[complex, complex]:

@@ -157,6 +157,14 @@ class TestNonFinitePhase:
         assert message in err
 
 
+class TestTraceMagnitude:
+    def test_negative_eps_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "trace", "3", "--eps=-1e-3")
+        assert code == 2
+        assert out == ""
+        assert "must be > 0" in err
+
+
 class TestPresets:
     def test_lists_all(self, capsys):
         code, out, _ = run(capsys, "presets")

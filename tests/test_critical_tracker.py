@@ -23,7 +23,6 @@ from phamlab.critical_tracker import (
     TrackedBatch,
     TrackerError,
     critical_set,
-    critical_sets,
     default_line,
     jittered_line,
     line_function,
@@ -34,6 +33,12 @@ from phamlab.degree_lab import EpsilonGrid
 from phamlab.polyalg import SparsePoly, univariate_roots
 
 EPS = 1e-3 * cmath.exp(0.37j)
+
+
+def _tracked_sets(line, samples):
+    """critical_set at every sample, all tracked in one batch."""
+    batch = TrackedBatch(line, samples)
+    return [critical_set(line, eps, batch) for eps in samples]
 
 
 def residuals(line, cps):
@@ -159,7 +164,7 @@ class TestSeparable:
         with pytest.raises(ValueError, match="eps must be finite"):
             separable_critical_set(default_line((3,)), eps)
         with pytest.raises(ValueError, match="eps must be finite"):
-            critical_sets(default_line((3, 3), "xy_coupled"), [EPS, eps])
+            _tracked_sets(default_line((3, 3), "xy_coupled"), [EPS, eps])
 
     def test_rejects_tail(self):
         line = default_line((4,), "quadratic_1d")
@@ -287,7 +292,7 @@ class TestRootFinderOracle:
         assert gaps.min() > 1e3 * dist.min(axis=1).max()
 
 
-# -- reference: the per-sample tracker loop that critical_sets must match bit for bit --
+# -- reference: the per-sample tracker loop that batched tracking must match bit for bit --
 
 
 def _reference_gradient(z, exps, eps_q, eps_s, grads):
@@ -408,7 +413,7 @@ GRIDS = {
 
 
 class TestBatchedTracking:
-    """critical_sets against tracking each sample alone with the reference loop."""
+    """Batched tracking against tracking each sample alone with the reference loop."""
 
     @pytest.mark.parametrize("grid", sorted(GRIDS))
     @pytest.mark.parametrize(
@@ -429,7 +434,7 @@ class TestBatchedTracking:
         if jitter is not None:
             line = jittered_line(line, jitter)
         samples = GRIDS[grid].samples()
-        assert critical_sets(line, samples) == [_reference_track(line, eps) for eps in samples]
+        assert _tracked_sets(line, samples) == [_reference_track(line, eps) for eps in samples]
 
     @pytest.mark.parametrize("coefficient, ascending", [(80.0, False), (80.0, True), (2.0, True)])
     def test_first_failing_sample_raises(self, coefficient, ascending):
@@ -448,7 +453,7 @@ class TestBatchedTracking:
 
         expected = _failure(one_at_a_time)
         assert expected is not None
-        assert _failure(lambda: critical_sets(wild, samples)) == expected
+        assert _failure(lambda: _tracked_sets(wild, samples)) == expected
 
     def test_batch_serves_only_its_own_line_and_samples(self):
         line = default_line((3, 3), "xy_coupled")
@@ -463,14 +468,14 @@ class TestBatchedTracking:
     def test_linear_line_uses_closed_forms(self):
         line = default_line((5, 3))
         samples = EpsilonGrid().samples()
-        assert critical_sets(line, samples) == [separable_critical_set(line, eps) for eps in samples]
+        assert _tracked_sets(line, samples) == [separable_critical_set(line, eps) for eps in samples]
 
     def test_collision_names_two_distinct_points(self, monkeypatch):
         # a floor above every start distance collides at the first step of every attempt
         monkeypatch.setattr(critical_tracker, "COLLISION_SHRINK", 2.0)
         line = default_line((3, 3), "xy_coupled")
         with pytest.raises(PathCollision) as info:
-            critical_sets(line, [EPS, EPS / 10])
+            _tracked_sets(line, [EPS, EPS / 10])
         steps = DEFAULT_STEPS << MAX_STEP_DOUBLINGS
         pattern = rf"points (\d+) and (\d+) collided at homotopy step 1/{steps}"
         i, j = re.fullmatch(pattern, str(info.value)).groups()

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from phamlab import degree_lab
@@ -23,7 +24,7 @@ from phamlab.degree_lab import (
     slope_table_rows,
     verify_all,
 )
-from phamlab.discriminant_products import evaluate_trace
+from phamlab.discriminant_products import LogProduct, LogProductTrace, evaluate_trace
 from phamlab.polyalg import SparsePoly
 
 
@@ -124,6 +125,25 @@ class TestClassifyFactors:
         with pytest.raises(UnclassifiedFactor):
             classify_factors(trace, (9, 9))  # wrong exponents on purpose
 
+    def test_unclassified_factor_builds_one_record(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("an unclassified factor must not build every record")
+
+        line = default_line((3,))
+        trace = evaluate_trace(line, EpsilonGrid().samples(), [Kind.D_PAIR])
+        monkeypatch.setattr(LogProduct, "factors", property(refuse))
+        with pytest.raises(UnclassifiedFactor, match=r"factor \(\(0,\), \(1,\)\) has slope"):
+            classify_factors(trace, (9, 9))
+
+    def test_snap_within_half_the_gap(self):
+        # 8/7 and 6/5 lie 0.057 apart, closer than twice CLASSIFY_TOLERANCE: on
+        # this grid 85 of the 19635 factors sit more than half that gap from
+        # their snap, though within CLASSIFY_TOLERANCE
+        line = default_line((7, 5), "xy_coupled")
+        trace = evaluate_trace(line, EpsilonGrid(start=1e-3, count=9).samples(), [Kind.Y_TRIPLE])
+        with pytest.raises(UnclassifiedFactor, match="more than 0.02857 from the nearest"):
+            classify_factors(trace, (7, 5))
+
     def test_admissible_set(self):
         exps = admissible_factor_exponents((5, 3), Kind.Y_TRIPLE)
         assert Fraction(6, 5) in exps and Fraction(4, 3) in exps
@@ -177,14 +197,24 @@ class TestUnequalOddPair:
 
 
 class TestHistogramTotal:
-    def test_53_coupled_default_grid_total_is_not_an_integer(self):
-        # on the default grid a few Omega factors of (5, 3) snap to the wrong
-        # exponent: 7836 at 6/5, 276 at 4/3, 18 at 7/5 and 60 at 23/15 sum to
-        # 49442/5, where the integer 9888 is due
+    def test_53_coupled_default_grid_wrong_snaps_are_flagged(self):
+        # on the default grid a few Omega factors of (5, 3) lie between 4/3 and
+        # 7/5, which are 1/15 apart; snapped within 0.08 they summed to 49442/5,
+        # where the integer 9888 is due
         line = default_line((5, 3), "xy_coupled")
         trace = evaluate_trace(line, EpsilonGrid().samples(), [Kind.OMEGA_QUAD])
-        with pytest.raises(ValueError, match="49442/5, not an integer"):
+        with pytest.raises(UnclassifiedFactor, match="more than 0.03333 from the nearest"):
             classify_factors(trace, (5, 3))
+
+    def test_non_integer_total_raises(self):
+        # one factor decaying exactly as eps^(4/3) snaps cleanly to a non-integer total
+        mags = (1e-3, 1e-4)
+        samples = tuple(
+            {Kind.D_PAIR: LogProduct(Kind.D_PAIR, log, np.array([log]), np.array([[0, 1]]), (0, 1))}
+            for log in (4 / 3 * math.log(m) for m in mags)
+        )
+        with pytest.raises(ValueError, match="4/3, not an integer"):
+            classify_factors(LogProductTrace(mags, samples), (3,))
 
 
 class TestClusterScaling:
@@ -206,6 +236,15 @@ class TestClusterScaling:
         (level,) = report.levels
         assert level.measured is None
         assert level.passed
+
+    @pytest.mark.parametrize("pair", [(-1e-3, 1e-4), (1e-3, 0.0), (math.inf, 1e-4), (1e-3, math.nan)])
+    def test_rejects_magnitudes_before_tracking(self, monkeypatch, pair):
+        def refuse(*args):
+            raise AssertionError("magnitudes must be checked before tracking")
+
+        monkeypatch.setattr(degree_lab, "critical_set", refuse)
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            cluster_scaling(default_line((5, 3)), pair)
 
 
 class TestVerifyAll:

@@ -10,7 +10,7 @@ import pytest
 
 from phamlab import discriminant_products
 from phamlab.closed_forms import binom12, binom22
-from phamlab.critical_tracker import critical_set, default_line, line_function
+from phamlab.critical_tracker import CriticalPointSet, critical_set, default_line, line_function
 from phamlab.degree_lab import verify_all
 from phamlab.discriminant_products import (
     ZERO_COEF,
@@ -24,6 +24,7 @@ from phamlab.discriminant_products import (
     log_Y,
     products_at,
 )
+from phamlab.polyalg import SparsePoly
 
 EPS = 1e-3 * cmath.exp(0.37j)
 
@@ -141,11 +142,30 @@ class TestHessianProduct:
         result = log_hessian_product(line_function(line, 0.004), pts)
         assert result.total == pytest.approx(0.0, abs=1e-12)
 
+    def test_differentiated_once_per_sample(self, monkeypatch):
+        # the second derivatives are taken once for the sample, not once per point
+        line = default_line((3, 3), "xy_coupled")
+        points = critical_set(line, EPS)
+        f_eps = line_function(line, EPS)
+        calls = []
+        original = SparsePoly.diff
+
+        def counting(poly, var):
+            calls.append(var)
+            return original(poly, var)
+
+        monkeypatch.setattr(SparsePoly, "diff", counting)
+        full = log_hessian_product(f_eps, points)
+        per_set = len(calls)
+        single = log_hessian_product(f_eps, CriticalPointSet(points.epsilon, points.points[:1]))
+        assert per_set == len(calls) - per_set == line.n + line.n**2
+        assert single.logs.tolist() == full.logs[:1].tolist()
+
 
 class TestProductsAt:
     def test_kinds_and_counts(self):
         line = default_line((3, 3))
-        out = products_at(line, EPS, list(Kind))
+        out = products_at(line, critical_set(line, EPS), list(Kind))
         for kind in Kind:
             assert len(out[kind].factors) == factor_count(kind, 9)
 
@@ -154,7 +174,7 @@ class TestProductsAt:
         # the products of tracking each sample alone
         line = default_line((3, 2), "xy_coupled")
         samples = [m * cmath.exp(0.37j) for m in (1e-3, 10**-3.5, 1e-4)]
-        expected = [products_at(line, eps, list(Kind)) for eps in samples]
+        expected = [products_at(line, critical_set(line, eps), list(Kind)) for eps in samples]
         calls = []
 
         def counted(line, eps, batch=None):
@@ -251,6 +271,7 @@ class TestKernelAgainstReference:
             assert [f.log_magnitude for f in result.factors] == [log for _, log in ref]
             assert result.total == sum(log for _, log in ref if log is not None)
             assert result.zero_count == sum(log is None for _, log in ref)
+            assert [result.record(k) for k in range(len(result.logs))] == list(result.factors)
         if plant is not None:
             assert KERNELS[PLANTED_KIND[plant]](values).has_zero
 

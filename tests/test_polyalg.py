@@ -72,15 +72,15 @@ class TestHessian:
     def test_quartic(self):
         p = SparsePoly(1, {(4,): 0.25})
         r = 0.7 - 0.2j
-        assert abs(hessian_det_at(p, [r]) - 3 * r * r) < 1e-15
+        assert abs(hessian_det_at(p, np.array([[r]]))[0] - 3 * r * r) < 1e-15
 
     def test_round_paraboloid(self):
         p = SparsePoly(2, {(2, 0): 1.0, (0, 2): 1.0})
-        assert hessian_det_at(p, [3.0, -1j]) == 4.0
+        assert hessian_det_at(p, np.array([[3.0, -1j]])) == [4.0]
 
     def test_coupled_saddle(self):
         p = SparsePoly(2, {(4, 0): 0.25, (0, 4): 0.25, (1, 1): 1.0})
-        assert hessian_det_at(p, [0.0, 0.0]) == -1.0
+        assert hessian_det_at(p, np.array([[0.0, 0.0]])) == [-1.0]
 
 
 class TestJsonLiteral:
