@@ -15,12 +15,18 @@ away.
 The three tuple products share one kernel: each factor is sum_k c_k * v[idx_k]
 with the coefficient row (1, -1), (2, -1, -1) or (1, 1, -1, -1), over numpy
 index rows in fixed lexicographic tuple order, which keeps traces byte-for-byte
-reproducible.  Results are bit-identical to a scalar loop over the same tuples:
-the row applies left to right; a mirrored D or Omega configuration is the exact
+reproducible.  The index rows depend only on (kind, mu): evaluate_trace builds
+each kind's table once and every sample reuses it, so the samples' products
+share one read-only rows array, stored in the smallest integer dtype that holds
+mu - 1.  Results are bit-identical to a scalar loop over the same tuples: the
+row applies left to right; a mirrored D or Omega configuration is the exact
 negation of one evaluated once; magnitudes come from np.hypot, logs from
-math.log per factor, and each total is a left-to-right sum() in tuple order
-(numpy's abs, log and sum change the last bits).  FactorRecords are built only
-on demand by LogProduct.record, so a degenerate hint builds its one record alone.
+math.log per factor (np.log differs in the last bit on some inputs), and each
+total adds the kept logs strictly left to right in tuple order, as a plain
+``t += x`` loop does.  np.add.accumulate keeps that order on every Python;
+numpy's sum is pairwise and the built-in sum() is compensated from CPython 3.12
+on, so either would change the last bits.  FactorRecords are built only on
+demand by LogProduct.record, so a degenerate hint builds its one record alone.
 products_at takes one sample's tracked critical set, and the Hessian product
 differentiates f - eps*phi once per sample.
 """
@@ -137,52 +143,101 @@ def _log_product(kind: Kind, factors: np.ndarray, scale_values, rows, labels, so
     magnitudes = np.hypot(factors.real, factors.imag)
     logs = np.full(len(magnitudes), np.nan)
     kept = magnitudes > threshold
-    logs[kept] = list(map(math.log, magnitudes[kept].tolist()))
+    kept_magnitudes = magnitudes[kept].tolist()
+    logs[kept] = np.fromiter(map(math.log, kept_magnitudes), float, len(kept_magnitudes))
     if source is not None:
-        logs = logs[source]
-    total = float(sum(logs[~np.isnan(logs)].tolist()))
+        logs, kept = logs[source], kept[source]
+    # a running sum adds strictly left to right; its last entry is the total
+    running = logs[kept]
+    np.add.accumulate(running, out=running)
+    total = float(running[-1]) if len(running) else 0.0
     return LogProduct(kind, total, logs, rows, tuple(labels))
 
 
 def _groups(mu: int, size: int) -> np.ndarray:
-    return np.array(list(itertools.combinations(range(mu), size)), dtype=np.intp).reshape(-1, size)
+    dtype = np.min_scalar_type(mu - 1)
+    return np.array(list(itertools.combinations(range(mu), size)), dtype=dtype).reshape(-1, size)
 
 
-def _tuple_product(kind: Kind, values: Sequence[complex], labels: Optional[Sequence]) -> LogProduct:
-    """Product over the kind's lexicographic tuples of sum_k c_k * v[idx_k]."""
-    first, second, coefs = _TUPLES[kind]
-    mu = len(values)
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, eq=False)
+class _IndexTable:
+    """The index rows of one tuple kind over mu points, shared by every sample of a trace.
+
+    rows holds every tuple in lexicographic order, in the smallest integer
+    dtype that holds mu - 1; columns holds the forward rows, one per
+    configuration, transposed (intp, since numpy gathers fastest with it);
+    source maps each row to its forward row, None when every row is forward.
+    """
+
+    kind: Kind
+    mu: int
+    rows: np.ndarray
+    columns: np.ndarray
+    source: Optional[np.ndarray]
+
+
+def _index_table(kind: Kind, mu: int) -> _IndexTable:
+    first, second, _ = _TUPLES[kind]
     g1, g2 = _groups(mu, first), _groups(mu, second)
     a, b = np.nonzero((g1[:, None, :, None] != g2[None, :, None, :]).all(axis=(2, 3)))
-    rows = np.hstack([g1[a], g2[b]])
-    # with equal group sizes, swapping the groups negates the factor: evaluate each
-    # configuration once, at its smaller key; ``source`` maps every row to it
-    key = a * len(g2) + b
-    canonical = np.minimum(key, b * len(g2) + a) if first == second else key
-    forward = canonical == key
+    rows = _read_only(np.hstack([g1[a], g2[b]]))
+    forward, source = rows, None
+    if first == second:
+        # with equal group sizes, swapping the groups negates the factor: evaluate each
+        # configuration once, at its smaller key; ``source`` maps every row to it
+        key = a * len(g2) + b
+        canonical = np.minimum(key, b * len(g2) + a)
+        is_forward = canonical == key
+        forward = rows[is_forward]
+        source = _read_only(np.searchsorted(key[is_forward], canonical))
+    columns = _read_only(np.ascontiguousarray(forward.T, dtype=np.intp))
+    return _IndexTable(kind, mu, rows, columns, source)
+
+
+def _tuple_product(
+    kind: Kind, values: Sequence[complex], labels: Optional[Sequence], table: Optional[_IndexTable]
+) -> LogProduct:
+    """Product over the kind's lexicographic tuples of sum_k c_k * v[idx_k]."""
+    mu = len(values)
+    if table is None:
+        table = _index_table(kind, mu)
+    elif (table.kind, table.mu) != (kind, mu):
+        raise ValueError(
+            f"index table of {table.kind.value} at mu={table.mu} used for {kind.value} at mu={mu}"
+        )
+    coefs = _TUPLES[kind][2]
     v = np.asarray(values, dtype=complex)
-    picked = rows[forward]
-    factors = coefs[0] * v[picked[:, 0]]
-    for coef, column in zip(coefs[1:], picked.T[1:]):
-        factors = factors + coef * v[column]
-    source = np.searchsorted(key[forward], canonical)
+    factors = coefs[0] * v[table.columns[0]]
+    for coef, column in zip(coefs[1:], table.columns[1:]):
+        factors += coef * v[column]
     labels = range(mu) if labels is None else labels
-    return _log_product(kind, factors, values, rows, labels, source)
+    return _log_product(kind, factors, values, table.rows, labels, table.source)
 
 
-def log_D(values: Sequence[complex], labels: Optional[Sequence] = None) -> LogProduct:
+def log_D(
+    values: Sequence[complex], labels: Optional[Sequence] = None, table: Optional[_IndexTable] = None
+) -> LogProduct:
     """Product over ordered pairs i != j of v_i - v_j."""
-    return _tuple_product(Kind.D_PAIR, values, labels)
+    return _tuple_product(Kind.D_PAIR, values, labels, table)
 
 
-def log_Y(values: Sequence[complex], labels: Optional[Sequence] = None) -> LogProduct:
+def log_Y(
+    values: Sequence[complex], labels: Optional[Sequence] = None, table: Optional[_IndexTable] = None
+) -> LogProduct:
     """Product over triples (distinguished v_1, unordered v_2, v_3) of 2*v_1 - v_2 - v_3."""
-    return _tuple_product(Kind.Y_TRIPLE, values, labels)
+    return _tuple_product(Kind.Y_TRIPLE, values, labels, table)
 
 
-def log_Omega(values: Sequence[complex], labels: Optional[Sequence] = None) -> LogProduct:
+def log_Omega(
+    values: Sequence[complex], labels: Optional[Sequence] = None, table: Optional[_IndexTable] = None
+) -> LogProduct:
     """Product over ordered pairs of disjoint unordered pairs of v1+v2-v3-v4."""
-    return _tuple_product(Kind.OMEGA_QUAD, values, labels)
+    return _tuple_product(Kind.OMEGA_QUAD, values, labels, table)
 
 
 def log_hessian_product(f_eps: SparsePoly, points: CriticalPointSet) -> LogProduct:
@@ -193,19 +248,24 @@ def log_hessian_product(f_eps: SparsePoly, points: CriticalPointSet) -> LogProdu
 
 
 def products_at(
-    line: GenericLine, points: CriticalPointSet, kinds: Sequence[Kind]
+    line: GenericLine, points: CriticalPointSet, kinds: Sequence[Kind], tables: Optional[dict] = None
 ) -> dict[Kind, LogProduct]:
-    """Evaluate the requested products over ``points``, the critical set of line at points.epsilon."""
+    """Evaluate the requested products over ``points``, the critical set of line at points.epsilon.
+
+    ``tables`` maps a tuple kind to its index table for this mu, as evaluate_trace
+    builds them; a kind without one builds its own.
+    """
     values = points.values()
     labels = points.labels()
+    tables = tables or {}
     out: dict[Kind, LogProduct] = {}
     for kind in kinds:
         if kind is Kind.D_PAIR:
-            out[kind] = log_D(values, labels)
+            out[kind] = log_D(values, labels, tables.get(kind))
         elif kind is Kind.Y_TRIPLE:
-            out[kind] = log_Y(values, labels)
+            out[kind] = log_Y(values, labels, tables.get(kind))
         elif kind is Kind.OMEGA_QUAD:
-            out[kind] = log_Omega(values, labels)
+            out[kind] = log_Omega(values, labels, tables.get(kind))
         elif kind is Kind.HESSIAN:
             out[kind] = log_hessian_product(line_function(line, points.epsilon), points)
         else:
@@ -246,9 +306,13 @@ def evaluate_trace(
 ) -> LogProductTrace:
     """Products at every sample; the critical sets of all samples are tracked together.
 
+    Each tuple kind's index table is built once and serves every sample.
     Raises the error of the first sample, in the given order, whose set fails.
     """
     kinds = list(kinds)
+    tables = {kind: _index_table(kind, line.a.mu) for kind in kinds if kind in _TUPLES}
     batch = TrackedBatch(line, eps_samples)
-    samples = tuple(products_at(line, critical_set(line, eps, batch), kinds) for eps in eps_samples)
+    samples = tuple(
+        products_at(line, critical_set(line, eps, batch), kinds, tables) for eps in eps_samples
+    )
     return LogProductTrace(tuple(eps_samples), samples)

@@ -11,7 +11,7 @@ import pytest
 from phamlab import discriminant_products
 from phamlab.closed_forms import binom12, binom22
 from phamlab.critical_tracker import CriticalPointSet, critical_set, default_line, line_function
-from phamlab.degree_lab import verify_all
+from phamlab.degree_lab import EpsilonGrid, verify_all
 from phamlab.discriminant_products import (
     ZERO_COEF,
     Kind,
@@ -269,7 +269,11 @@ class TestKernelAgainstReference:
                 tuple(labels[i] for i in idx) for idx, _ in ref
             ]
             assert [f.log_magnitude for f in result.factors] == [log for _, log in ref]
-            assert result.total == sum(log for _, log in ref if log is not None)
+            total = 0.0  # the documented order: strictly left to right over the kept logs
+            for _, log in ref:
+                if log is not None:
+                    total += log
+            assert result.total == total
             assert result.zero_count == sum(log is None for _, log in ref)
             assert [result.record(k) for k in range(len(result.logs))] == list(result.factors)
         if plant is not None:
@@ -283,6 +287,13 @@ class TestKernelAgainstReference:
         report = verify_all((3, 3), "xy_coupled")
         assert report.all_match
 
+    def test_table_mismatch_raises(self):
+        table = discriminant_products._index_table(Kind.D_PAIR, 4)
+        with pytest.raises(ValueError, match="index table of D_pair at mu=4 used for Y_triple"):
+            log_Y([0j, 1 + 0j, 3 + 0j, 7 + 0j], table=table)
+        with pytest.raises(ValueError, match="at mu=4 used for D_pair at mu=3"):
+            log_D([0j, 1 + 0j, 3 + 0j], table=table)
+
     def test_degenerate_hint_builds_one_record(self, monkeypatch):
         def refuse(self):
             raise AssertionError("the hint must not build every factor record")
@@ -291,3 +302,33 @@ class TestKernelAgainstReference:
         row = verify_all((4,)).rows[4]
         assert row.verdict == "Degenerate"
         assert row.hint == "parallelogram: (0),(2) | (1),(3)"
+
+
+class TestIndexTables:
+    def test_trace_builds_each_table_once_and_shares_its_rows(self, monkeypatch):
+        built = []
+
+        def counted(kind, mu):
+            built.append((kind, mu))
+            return index_table(kind, mu)
+
+        index_table = discriminant_products._index_table
+        monkeypatch.setattr(discriminant_products, "_index_table", counted)
+        line = default_line((7, 5))
+        trace = evaluate_trace(line, EpsilonGrid().samples(), list(Kind))
+        assert len(trace.samples) == 7
+        tuple_kinds = [Kind.D_PAIR, Kind.Y_TRIPLE, Kind.OMEGA_QUAD]
+        assert built == [(kind, 35) for kind in tuple_kinds]
+        for kind in tuple_kinds:
+            rows = trace.samples[0][kind].rows
+            assert all(s[kind].rows is rows for s in trace.samples)
+            assert not rows.flags.writeable
+            assert rows.dtype == np.uint8
+            assert len(rows) == factor_count(kind, 35)
+
+    def test_rows_widen_past_uint8(self):
+        values = [complex(k, k * k % 7) for k in range(257)]
+        result = log_D(values)
+        assert result.rows.dtype == np.uint16
+        assert result.record(0).indices == (0, 1)
+        assert result.record(len(result.logs) - 1).indices == (256, 255)
