@@ -227,8 +227,9 @@ def cmd_cluster(args) -> int:
 def cmd_trace(args) -> int:
     line = _build_line(args, ExponentVector(tuple(args.exponents)))
     kind = Kind(args.kind)
-    if not args.eps > 0:
-        raise ValueError(f"--eps is the magnitude |eps| and must be > 0, got {args.eps}")
+    if not 0 < args.eps < float("inf"):
+        bound = "> 0" if args.eps <= 0 else "finite"
+        raise ValueError(f"--eps is the magnitude |eps| and must be {bound}, got {args.eps}")
     sample = complex(args.eps) * cmath.exp(1j * args.phase)
     trace = evaluate_trace(line, [sample], [kind])
     handle = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout

@@ -20,13 +20,13 @@ each kind's table once and every sample reuses it, so the samples' products
 share one read-only rows array, stored in the smallest integer dtype that holds
 mu - 1.  Results are bit-identical to a scalar loop over the same tuples: the
 row applies left to right; a mirrored D or Omega configuration is the exact
-negation of one evaluated once; magnitudes come from np.hypot, logs from
-math.log per factor (np.log differs in the last bit on some inputs), and each
-total adds the kept logs strictly left to right in tuple order, as a plain
-``t += x`` loop does.  np.add.accumulate keeps that order on every Python;
-numpy's sum is pairwise and the built-in sum() is compensated from CPython 3.12
-on, so either would change the last bits.  FactorRecords are built only on
-demand by LogProduct.record, so a degenerate hint builds its one record alone.
+negation of one evaluated once; magnitudes come from np.hypot, logs from np.log
+(the same bits whether a call takes one factor or all; math.log differs in the
+last bit on some inputs), and each total adds the kept logs strictly left to
+right in tuple order, as a plain ``t += x`` loop does: np.add.accumulate keeps
+that order on every Python, while numpy's sum is pairwise and the built-in sum()
+is compensated from CPython 3.12 on.  FactorRecords are built only on demand by
+LogProduct.record, so a degenerate hint builds its one record alone.
 products_at takes one sample's tracked critical set, and the Hessian product
 differentiates f - eps*phi once per sample.
 """
@@ -141,10 +141,8 @@ def _log_product(kind: Kind, factors: np.ndarray, scale_values, rows, labels, so
     """Zero threshold (scaled by max |scale_values|), logs and total in row order."""
     threshold = ZERO_COEF * max((abs(v) for v in scale_values), default=0.0)
     magnitudes = np.hypot(factors.real, factors.imag)
-    logs = np.full(len(magnitudes), np.nan)
     kept = magnitudes > threshold
-    kept_magnitudes = magnitudes[kept].tolist()
-    logs[kept] = np.fromiter(map(math.log, kept_magnitudes), float, len(kept_magnitudes))
+    logs = np.log(magnitudes, out=np.full(len(magnitudes), np.nan), where=kept)
     if source is not None:
         logs, kept = logs[source], kept[source]
     # a running sum adds strictly left to right; its last entry is the total

@@ -164,6 +164,13 @@ class TestTraceMagnitude:
         assert out == ""
         assert "must be > 0" in err
 
+    @pytest.mark.parametrize("eps", ["inf", "nan"])
+    def test_non_finite_eps_names_the_magnitude(self, capsys, eps):
+        code, out, err = run(capsys, "trace", "3", f"--eps={eps}")
+        assert code == 2
+        assert out == ""
+        assert f"--eps is the magnitude |eps| and must be finite, got {eps}" in err
+
 
 class TestPresets:
     def test_lists_all(self, capsys):

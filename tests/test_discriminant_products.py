@@ -213,7 +213,7 @@ def reference_products(values):
 
     def record(indices, factor):
         magnitude = abs(factor)
-        return indices, (None if magnitude <= threshold else math.log(magnitude))
+        return indices, (None if magnitude <= threshold else float(np.log(magnitude)))
 
     pairs = [
         record((i, j), values[i] - values[j]) for i in range(mu) for j in range(mu) if i != j
@@ -332,3 +332,63 @@ class TestIndexTables:
         assert result.rows.dtype == np.uint16
         assert result.record(0).indices == (0, 1)
         assert result.record(len(result.logs) - 1).indices == (256, 255)
+
+
+@pytest.fixture(scope="module")
+def tracked_7_5_values():
+    """Critical values of the tracked (7,5) xy_coupled set at EPS (mu = 35)."""
+    return critical_set(default_line((7, 5), "xy_coupled"), EPS).values()
+
+
+def kernel_magnitudes(kind, values):
+    """|factor| of every row, formed as the kernel forms it: forward rows, then the mirror gather."""
+    table = discriminant_products._index_table(kind, len(values))
+    coefs = discriminant_products._TUPLES[kind][2]
+    v = np.asarray(values, dtype=complex)
+    factors = coefs[0] * v[table.columns[0]]
+    for coef, column in zip(coefs[1:], table.columns[1:]):
+        factors += coef * v[column]
+    magnitudes = np.hypot(factors.real, factors.imag)
+    return magnitudes if table.source is None else magnitudes[table.source]
+
+
+class TestLogFunction:
+    """The kernels take every factor log with np.log; these pin what that relies on."""
+
+    def test_np_log_bits_do_not_depend_on_the_call_shape(self):
+        rng = np.random.default_rng(8)
+        n = 10**5
+        magnitudes = np.concatenate([rng.uniform(0, 1, n // 2), 10.0 ** rng.uniform(-30, 3, n - n // 2)])
+        arrays = [magnitudes] + [magnitudes[length : 2 * length] for length in (1, 3, 7, 9, 17)]
+        for array in arrays:
+            whole = np.log(array)
+            scalars = np.array([np.log(m) for m in array.tolist()])
+            mask = rng.random(len(array)) < 0.7
+            masked = np.full(len(array), np.nan)
+            np.log(array, out=masked, where=mask)
+            assert whole.tobytes() == scalars.tobytes()
+            assert masked[mask].tobytes() == whole[mask].tobytes()
+            assert np.isnan(masked[~mask]).all()
+
+    def test_omega_logs_within_one_ulp_of_math_log(self, tracked_7_5_values):
+        product = log_Omega(tracked_7_5_values)
+        magnitudes = kernel_magnitudes(Kind.OMEGA_QUAD, tracked_7_5_values)
+        kept = ~np.isnan(product.logs)
+        assert kept.all()
+        assert product.logs.tobytes() == np.log(magnitudes).tobytes()
+        reference = np.array([math.log(m) for m in magnitudes.tolist()])
+        assert (np.abs(product.logs - reference) <= np.spacing(np.abs(reference))).all()
+
+    def test_y_logs_within_one_ulp_of_mpmath(self, tracked_7_5_values):
+        import mpmath
+
+        product = log_Y(tracked_7_5_values)
+        magnitudes = kernel_magnitudes(Kind.Y_TRIPLE, tracked_7_5_values)
+        kept = ~np.isnan(product.logs)
+        assert kept.sum() == 19635
+        with mpmath.workdps(40):
+            ulps = [
+                abs(mpmath.mpf(log) - mpmath.log(magnitude)) / math.ulp(log)
+                for log, magnitude in zip(product.logs[kept].tolist(), magnitudes[kept].tolist())
+            ]
+        assert max(ulps) <= 1
