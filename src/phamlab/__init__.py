@@ -24,7 +24,6 @@ from .closed_forms import (
 )
 from .critical_tracker import (
     PRESETS,
-    CriticalPoint,
     CriticalPointSet,
     GenericLine,
     NewtonDivergence,

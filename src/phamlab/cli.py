@@ -15,6 +15,7 @@ import argparse
 import cmath
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -47,6 +48,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 EXIT_NUMERIC = 4
+
+_TRACE_CHUNK = 1 << 16  # trace CSV rows formatted per writerows call
 
 
 def _build_line(args, exponents: ExponentVector) -> GenericLine:
@@ -231,18 +234,18 @@ def cmd_trace(args) -> int:
         bound = "> 0" if args.eps <= 0 else "finite"
         raise ValueError(f"--eps is the magnitude |eps| and must be {bound}, got {args.eps}")
     sample = complex(args.eps) * cmath.exp(1j * args.phase)
-    trace = evaluate_trace(line, [sample], [kind])
+    product = evaluate_trace(line, [sample], [kind]).samples[0][kind]
+    names = [",".join(map(str, label)) for label in product.labels]
     handle = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.writer(handle)
         writer.writerow(["kind", "indices", "log_magnitude"])
-        for record in trace.samples[0][kind].factors:
-            indices = " ".join(
-                ",".join(str(x) for x in lab) if isinstance(lab, tuple) else str(lab)
-                for lab in record.indices
+        for start in range(0, len(product.logs), _TRACE_CHUNK):
+            chunk = slice(start, start + _TRACE_CHUNK)
+            writer.writerows(
+                (kind.value, " ".join([names[i] for i in row]), "ExactZero" if math.isnan(x) else repr(x))
+                for row, x in zip(product.rows[chunk].tolist(), product.logs[chunk].tolist())
             )
-            magnitude = "ExactZero" if record.is_zero else repr(record.log_magnitude)
-            writer.writerow([kind.value, indices, magnitude])
     finally:
         if args.out:
             handle.close()

@@ -13,6 +13,10 @@ All samples of a grid go through one batched homotopy (TrackedBatch), which
 retracks colliding samples with doubled steps; each sample keeps its own Newton
 stopping test, divergence check and collision floor, so its points are
 bit-identical to tracking it alone.  critical_set labels one sample's points.
+
+A CriticalPointSet holds the labels in itertools.product order and two read-only
+arrays, the (mu, n) coordinates and (mu,) critical values, whose row k belongs to
+labels[k]; the tracker fills and the product kernels read these arrays directly.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .polyalg import SparsePoly
 
 __all__ = [
     "GenericLine",
-    "CriticalPoint",
     "CriticalPointSet",
     "TrackerError",
     "PathCollision",
@@ -130,31 +133,22 @@ class GenericLine:
         return grads, hessians
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
-    label: tuple[int, ...]
-    coords: tuple[complex, ...]
-    value: complex
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CriticalPointSet:
-    """All mu critical points of f - eps*phi, labelled by root branches."""
+    """All mu critical points of f - eps*phi, labelled by root branches.
+
+    Labels run in itertools.product order; row k of the read-only coords and
+    values arrays belongs to labels[k].  Sets compare by identity, not by field.
+    """
 
     epsilon: complex
-    points: tuple[CriticalPoint, ...]
+    labels: tuple[tuple[int, ...], ...]
+    coords: np.ndarray  # (mu, n) complex
+    values: np.ndarray  # (mu,) complex
 
-    def labels(self) -> list[tuple[int, ...]]:
-        return [p.label for p in self.points]
-
-    def values(self) -> list[complex]:
-        return [p.value for p in self.points]
-
-    def coords_array(self) -> np.ndarray:
-        return np.array([p.coords for p in self.points], dtype=complex)
-
-    def by_label(self) -> dict[tuple[int, ...], CriticalPoint]:
-        return {p.label: p for p in self.points}
+    def __post_init__(self) -> None:
+        self.coords.flags.writeable = False
+        self.values.flags.writeable = False
 
 
 def _ladder_q(exps: Sequence[int]) -> tuple[float, ...]:
@@ -241,10 +235,6 @@ def _check_eps(eps: complex) -> complex:
     return eps
 
 
-def _labels_for(exps: Sequence[int]) -> list[tuple[int, ...]]:
-    return list(itertools.product(*[range(ai) for ai in exps]))
-
-
 def separable_critical_set(line: GenericLine, eps: complex) -> CriticalPointSet:
     """Closed-form critical points for an empty tail.
 
@@ -268,14 +258,15 @@ def separable_critical_set(line: GenericLine, eps: complex) -> CriticalPointSet:
         [eps * value_coef[i] * branch_coord[i][k] for k in range(exps[i])]
         for i in range(n)
     ]
-    points = []
-    for label in _labels_for(exps):
-        coords = tuple(branch_coord[i][label[i]] for i in range(n))
+    labels = tuple(itertools.product(*[range(ai) for ai in exps]))
+    coords = np.array([[branch_coord[i][k] for i, k in enumerate(label)] for label in labels], dtype=complex)
+    values = []
+    for label in labels:
         value = 0j
-        for i in range(n):
-            value += branch_value[i][label[i]]
-        points.append(CriticalPoint(label, coords, value))
-    result = CriticalPointSet(eps, tuple(points))
+        for i, k in enumerate(label):
+            value += branch_value[i][k]
+        values.append(value)
+    result = CriticalPointSet(eps, labels, coords, np.array(values, dtype=complex))
     _validate_set(line, eps, result)
     return result
 
@@ -312,17 +303,18 @@ def _pairwise_distances(coords: np.ndarray) -> np.ndarray:
 
 def _validate_set(line: GenericLine, eps: complex, cps: CriticalPointSet) -> None:
     mu = line.a.mu
-    if len(cps.points) != mu or len(set(cps.labels())) != mu:
+    if len(cps.labels) != mu or len(set(cps.labels)) != mu:
         raise TrackerError("label set is not an exhaustive enumeration")
-    coords = cps.coords_array()
+    if cps.coords.shape != (mu, line.n) or cps.values.shape != (mu,):
+        raise TrackerError(f"point arrays of shapes {cps.coords.shape} and {cps.values.shape} at mu = {mu}")
     residual_bound = GRADIENT_RESIDUAL_COEF * max(1.0, abs(eps))
     grads, _ = line.tail_derivatives
-    g = _gradient(coords, np.array(line.a.a), eps * np.array(line.q)[None, :], eps, grads)
+    g = _gradient(cps.coords, np.array(line.a.a), eps * np.array(line.q)[None, :], eps, grads)
     worst = float(np.sqrt((np.abs(g) ** 2).sum(axis=1)).max())
     if worst > residual_bound:
         raise TrackerError(f"gradient residual {worst:.3e} exceeds {residual_bound:.3e}")
     if mu > 1:
-        min_dist = float(_pairwise_distances(coords).min())
+        min_dist = float(_pairwise_distances(cps.coords).min())
         if min_dist < DISTINCTNESS_FACTOR * residual_bound:
             raise TrackerError(f"points not distinct: min distance {min_dist:.3e}")
 
@@ -462,7 +454,7 @@ class TrackedBatch:
         for eps in eps_samples:
             try:
                 start = separable_critical_set(linear_part, eps)
-                floors.append(_collision_floor(line, start.epsilon, start.coords_array()))
+                floors.append(_collision_floor(line, start.epsilon, start.coords))
             except (ValueError, TrackerError) as err:
                 self.outcomes[eps] = err
                 continue
@@ -473,7 +465,7 @@ class TrackedBatch:
         # a sample whose paths collide is tracked again from its start points
         # with twice the steps, up to MAX_STEP_DOUBLINGS times; the others are not rerun
         epsilons = np.array([start.epsilon for start in starts])
-        coords0 = np.array([start.coords_array() for start in starts])
+        coords0 = np.array([start.coords for start in starts])
         floor = np.array(floors)
         pending = np.arange(len(starts))
         for steps in (DEFAULT_STEPS << attempt for attempt in range(MAX_STEP_DOUBLINGS + 1)):
@@ -509,12 +501,7 @@ def track_to_phi(
     if isinstance(outcome, Exception):
         raise outcome
     start, coords = outcome
-    values = _values_at(line, start.epsilon, coords)
-    points = tuple(
-        CriticalPoint(p.label, tuple(coords[k]), complex(values[k]))
-        for k, p in enumerate(start.points)
-    )
-    result = CriticalPointSet(start.epsilon, points)
+    result = CriticalPointSet(start.epsilon, start.labels, coords, _values_at(line, start.epsilon, coords))
     _validate_set(line, start.epsilon, result)
     return result
 

@@ -394,17 +394,17 @@ def cluster_scaling(
     if m1 == m2:
         raise ValueError("the two magnitudes must differ")
     ray = cmath.exp(1j * phase)
-    sets = [critical_set(line, m * ray).by_label() for m in (m1, m2)]
+    sets = [critical_set(line, m * ray) for m in (m1, m2)]
+    v1, v2 = (s.values.tolist() for s in sets)
     dlog = math.log(m1) - math.log(m2)
     exps = line.a.a
-    labels = list(sets[0].keys())
     levels = []
     for depth in range(1, line.n + 1):
         measured_exponents = []
-        for la, lb in itertools.combinations(labels, 2):
+        for (ka, la), (kb, lb) in itertools.combinations(enumerate(sets[0].labels), 2):
             if la[: depth - 1] == lb[: depth - 1] and la[depth - 1] != lb[depth - 1]:
-                g1 = abs(sets[0][la].value - sets[0][lb].value)
-                g2 = abs(sets[1][la].value - sets[1][lb].value)
+                g1 = abs(v1[ka] - v1[kb])
+                g2 = abs(v2[ka] - v2[kb])
                 if g1 > 0 and g2 > 0:
                     measured_exponents.append(math.log(g1 / g2) / dlog)
         predicted = Fraction(exps[depth - 1] + 1, exps[depth - 1])

@@ -214,7 +214,8 @@ def _tuple_product(
     for coef, column in zip(coefs[1:], table.columns[1:]):
         factors += coef * v[column]
     labels = range(mu) if labels is None else labels
-    return _log_product(kind, factors, values, table.rows, labels, table.source)
+    # the zero threshold takes the built-in abs of each value, whose bits do not depend on numpy's SIMD loops
+    return _log_product(kind, factors, v.tolist(), table.rows, labels, table.source)
 
 
 def log_D(
@@ -240,9 +241,9 @@ def log_Omega(
 
 def log_hessian_product(f_eps: SparsePoly, points: CriticalPointSet) -> LogProduct:
     """Product over the critical points of |det Hess(f - eps*phi)|."""
-    dets = hessian_det_at(f_eps, [p.coords for p in points.points])
+    dets = hessian_det_at(f_eps, points.coords.tolist())
     rows = np.arange(len(dets))[:, None]
-    return _log_product(Kind.HESSIAN, np.array(dets, dtype=complex), dets, rows, points.labels())
+    return _log_product(Kind.HESSIAN, np.array(dets, dtype=complex), dets, rows, points.labels)
 
 
 def products_at(
@@ -253,17 +254,15 @@ def products_at(
     ``tables`` maps a tuple kind to its index table for this mu, as evaluate_trace
     builds them; a kind without one builds its own.
     """
-    values = points.values()
-    labels = points.labels()
     tables = tables or {}
     out: dict[Kind, LogProduct] = {}
     for kind in kinds:
         if kind is Kind.D_PAIR:
-            out[kind] = log_D(values, labels, tables.get(kind))
+            out[kind] = log_D(points.values, points.labels, tables.get(kind))
         elif kind is Kind.Y_TRIPLE:
-            out[kind] = log_Y(values, labels, tables.get(kind))
+            out[kind] = log_Y(points.values, points.labels, tables.get(kind))
         elif kind is Kind.OMEGA_QUAD:
-            out[kind] = log_Omega(values, labels, tables.get(kind))
+            out[kind] = log_Omega(points.values, points.labels, tables.get(kind))
         elif kind is Kind.HESSIAN:
             out[kind] = log_hessian_product(line_function(line, points.epsilon), points)
         else:

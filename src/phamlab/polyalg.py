@@ -136,12 +136,18 @@ class SparsePoly:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SparsePoly":
+        """Read {"vars": n, "terms": [{"exp": [...], "re": x, "im": y}, ...]}: each exponent once, finite."""
         try:
             n = int(data["vars"])
-            terms = {
-                tuple(int(e) for e in item["exp"]): complex(float(item["re"]), float(item.get("im", 0.0)))
-                for item in data["terms"]
-            }
+            terms = {}
+            for item in data["terms"]:
+                exp = tuple(int(e) for e in item["exp"])
+                coef = complex(float(item["re"]), float(item.get("im", 0.0)))
+                if exp in terms:
+                    raise ValueError(f"exponent {exp} is listed twice in the polynomial literal")
+                if not cmath.isfinite(coef):
+                    raise ValueError(f"coefficient {coef} of exponent {exp} is not finite")
+                terms[exp] = coef
         except (KeyError, TypeError) as err:
             raise ValueError(f"malformed polynomial literal: {err}") from err
         return cls(n, terms)

@@ -237,9 +237,9 @@ def test_criterion_8_property_suites():
             eps = mag * cmath.exp(0.37j)
             cps = critical_set(line, eps)
             grads = [line.phi().diff(i) for i in range(line.n)]
-            for p in cps.points:
+            for coords in cps.coords:
                 parts = [
-                    p.coords[i] ** line.a.a[i] - eps * grads[i].evaluate(p.coords)
+                    coords[i] ** line.a.a[i] - eps * grads[i].evaluate(coords)
                     for i in range(line.n)
                 ]
                 ok &= math.sqrt(sum(abs(x) ** 2 for x in parts)) <= 1e-11 * max(1.0, abs(eps))
@@ -248,14 +248,15 @@ def test_criterion_8_property_suites():
     # within-collection value differences preserved across the direction ladder
     a = (5, 3)
     eps = 1e-3 * cmath.exp(0.37j)
-    flat = separable_critical_set(default_line(a), eps).by_label()
+    plain = separable_critical_set(default_line(a), eps)
+    flat = dict(zip(plain.labels, plain.values.tolist()))
     bent = track_to_phi(GenericLine(default_line(a).a, (1.0, 0.3), SparsePoly(2, {(2, 0): 0.5})), eps)
-    curved = bent.by_label()
+    curved = dict(zip(bent.labels, bent.values.tolist()))
     for k in range(5):
         group = [(k, l) for l in range(3)]
         for la, lb in itertools.combinations(group, 2):
-            d0 = flat[la].value - flat[lb].value
-            d1 = curved[la].value - curved[lb].value
+            d0 = flat[la] - flat[lb]
+            d1 = curved[la] - curved[lb]
             ok &= abs(d0 - d1) <= 1e-10 * abs(d0)
     details.append("ladder preservation 1e-10")
 

@@ -194,3 +194,22 @@ class TestPhiJson:
         code, out, _ = run(capsys, "verify", "4", "--phi-json", str(path))
         assert code == 0
         assert out.count("Match") == 5
+
+    @pytest.mark.parametrize(
+        "coupling, message",
+        [
+            ([0.15, 0.15], r"exponent (1, 1) is listed twice"),
+            ([float("nan")], r"coefficient (nan+0j) of exponent (1, 1) is not finite"),
+            ([float("inf")], r"coefficient (inf+0j) of exponent (1, 1) is not finite"),
+        ],
+    )
+    def test_malformed_literal_is_a_usage_error(self, capsys, tmp_path, coupling, message):
+        # json writes NaN and Infinity literals, and json.load reads them back
+        terms = [{"exp": [1, 0], "re": 1.0}, {"exp": [0, 1], "re": 0.3}]
+        terms += [{"exp": [1, 1], "re": c} for c in coupling]
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps({"vars": 2, "terms": terms}))
+        code, out, err = run(capsys, "verify", "5", "3", "--phi-json", str(path))
+        assert code == 2
+        assert out == ""
+        assert message in err

@@ -1,6 +1,7 @@
 """Tracker tests: closed-form point sets, homotopy tracking, label hierarchy."""
 
 import cmath
+import itertools
 import math
 import re
 
@@ -15,7 +16,6 @@ from phamlab.critical_tracker import (
     MAX_STEP_DOUBLINGS,
     NEWTON_MAX_ITERATIONS,
     NEWTON_REL_TOL,
-    CriticalPoint,
     CriticalPointSet,
     GenericLine,
     NewtonDivergence,
@@ -41,13 +41,23 @@ def _tracked_sets(line, samples):
     return [critical_set(line, eps, batch) for eps in samples]
 
 
+def bits(cps):
+    """A set's eps, labels and the exact bytes of its coordinate and value arrays."""
+    return cps.epsilon, cps.labels, cps.coords.tobytes(), cps.values.tobytes()
+
+
+def by_label(cps):
+    """Each label's coordinate row and critical value."""
+    return {label: (z, v) for label, z, v in zip(cps.labels, cps.coords, cps.values.tolist())}
+
+
 def residuals(line, cps):
     out = []
     grads = [line.phi().diff(i) for i in range(line.n)]
-    for p in cps.points:
+    for coords in cps.coords:
         parts = []
         for i, ai in enumerate(line.a):
-            parts.append(p.coords[i] ** ai - cps.epsilon * grads[i].evaluate(p.coords))
+            parts.append(coords[i] ** ai - cps.epsilon * grads[i].evaluate(coords))
         out.append(math.sqrt(sum(abs(x) ** 2 for x in parts)))
     return out
 
@@ -128,27 +138,27 @@ class TestSeparable:
     def test_cubic_radii_and_values(self):
         line = default_line((3,))
         cps = separable_critical_set(line, EPS)
-        assert len(cps.points) == 3
+        assert len(cps.labels) == 3
         base = EPS ** (1 / 3)
-        for k, p in enumerate(cps.points):
-            assert p.label == (k,)
+        for k, (label, coords, value) in enumerate(zip(cps.labels, cps.coords, cps.values)):
+            assert label == (k,)
             expected_coord = base * cmath.exp(2j * math.pi * k / 3)
-            assert abs(p.coords[0] - expected_coord) < 1e-15
+            assert abs(coords[0] - expected_coord) < 1e-15
             expected_value = -0.75 * EPS * expected_coord
-            assert abs(p.value - expected_value) < 1e-18
+            assert abs(value - expected_value) < 1e-18
 
     def test_morse_point(self):
         line = default_line((1,))
         cps = separable_critical_set(line, 0.004)
-        (p,) = cps.points
-        assert abs(p.coords[0] - 0.004) < 1e-18
-        assert abs(p.value - (-0.004**2 / 2)) < 1e-20
+        ((coords,), (value,)) = cps.coords, cps.values
+        assert abs(coords[0] - 0.004) < 1e-18
+        assert abs(value - (-0.004**2 / 2)) < 1e-20
 
     def test_tensor_product_labels(self):
         line = default_line((3, 3))
         cps = separable_critical_set(line, EPS)
-        assert len(cps.points) == 9
-        assert sorted(cps.labels()) == [(i, j) for i in range(3) for j in range(3)]
+        assert len(cps.labels) == 9
+        assert sorted(cps.labels) == [(i, j) for i in range(3) for j in range(3)]
         assert max(residuals(line, cps)) < 1e-11
 
     def test_rejects_large_eps(self):
@@ -172,10 +182,33 @@ class TestSeparable:
             separable_critical_set(line, EPS)
 
 
+class TestPointArrays:
+    @pytest.mark.parametrize("preset", ["linear", "xy_coupled"])
+    def test_fields_are_aligned_and_read_only(self, preset):
+        cps = critical_set(default_line((3, 3), preset), EPS)
+        assert cps.labels == tuple(itertools.product(range(3), range(3)))
+        assert cps.coords.shape == (9, 2) and cps.coords.dtype == complex
+        assert cps.values.shape == (9,) and cps.values.dtype == complex
+        with pytest.raises(ValueError, match="read-only"):
+            cps.coords[0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            cps.values[0] = 0
+
+    def test_validator_checks_the_array_shapes(self):
+        line = default_line((3, 3))
+        cps = separable_critical_set(line, EPS)
+        clipped = CriticalPointSet(cps.epsilon, cps.labels, cps.coords[:, :1], cps.values)
+        with pytest.raises(TrackerError, match=r"point arrays of shapes \(9, 1\) and \(9,\)"):
+            critical_tracker._validate_set(line, EPS, clipped)
+        repeated = CriticalPointSet(cps.epsilon, cps.labels[:8] + cps.labels[:1], cps.coords, cps.values)
+        with pytest.raises(TrackerError, match="not an exhaustive enumeration"):
+            critical_tracker._validate_set(line, EPS, repeated)
+
+
 class TestTracking:
     def test_empty_tail_short_circuits(self):
         line = default_line((3, 3))
-        assert track_to_phi(line, EPS) == separable_critical_set(line, EPS)
+        assert bits(track_to_phi(line, EPS)) == bits(separable_critical_set(line, EPS))
 
     def test_quadratic_displacement_scaling(self):
         # displacement from the linear-direction partner should scale as
@@ -183,9 +216,9 @@ class TestTracking:
         line = default_line((4,), "quadratic_1d")
         disps = []
         for eps in (EPS, EPS / 4):
-            tracked = track_to_phi(line, eps).by_label()
-            base = separable_critical_set(default_line((4,)), eps).by_label()
-            disps.append(max(abs(tracked[l].coords[0] - base[l].coords[0]) for l in base))
+            tracked = by_label(track_to_phi(line, eps))
+            base = by_label(separable_critical_set(default_line((4,)), eps))
+            disps.append(max(abs(tracked[l][0][0] - base[l][0][0]) for l in base))
         slope = math.log(disps[0] / disps[1]) / math.log(4)
         assert slope > 0.5 - 0.1
         assert abs(slope - 0.5) < 0.1
@@ -193,20 +226,20 @@ class TestTracking:
     def test_xy_coupled_bijective_labels(self):
         line = default_line((3, 3), "xy_coupled")
         cps = track_to_phi(line, EPS)
-        assert sorted(cps.labels()) == [(i, j) for i in range(3) for j in range(3)]
+        assert sorted(cps.labels) == [(i, j) for i in range(3) for j in range(3)]
         assert max(residuals(line, cps)) < 1e-11 * max(1.0, abs(EPS))
 
     def test_coordinate_displacement_exponents(self):
         # per-coordinate displacement decays at least as |eps|^(1/a_i + 1/a_1)
         line = default_line((3, 3), "xy_coupled")
         eps_hi, eps_lo = EPS, EPS / 4
-        hi = track_to_phi(line, eps_hi).by_label()
-        lo = track_to_phi(line, eps_lo).by_label()
-        base_hi = separable_critical_set(default_line((3, 3)), eps_hi).by_label()
-        base_lo = separable_critical_set(default_line((3, 3)), eps_lo).by_label()
+        hi = by_label(track_to_phi(line, eps_hi))
+        lo = by_label(track_to_phi(line, eps_lo))
+        base_hi = by_label(separable_critical_set(default_line((3, 3)), eps_hi))
+        base_lo = by_label(separable_critical_set(default_line((3, 3)), eps_lo))
         for i, ai in enumerate(line.a):
-            d_hi = max(abs(hi[l].coords[i] - base_hi[l].coords[i]) for l in hi)
-            d_lo = max(abs(lo[l].coords[i] - base_lo[l].coords[i]) for l in lo)
+            d_hi = max(abs(hi[l][0][i] - base_hi[l][0][i]) for l in hi)
+            d_lo = max(abs(lo[l][0][i] - base_lo[l][0][i]) for l in lo)
             slope = math.log(d_hi / d_lo) / math.log(4)
             assert slope >= 1 / ai + 1 / line.a[0] - 0.1
 
@@ -217,16 +250,16 @@ class TestTracking:
         tail = SparsePoly(2, {(2, 0): 0.4})
         plain = GenericLine(a, (1.0, 0.3), SparsePoly.zero(2))
         bent = GenericLine(a, (1.0, 0.3), tail)
-        flat = separable_critical_set(plain, EPS).by_label()
-        curved = track_to_phi(bent, EPS).by_label()
+        flat = by_label(separable_critical_set(plain, EPS))
+        curved = by_label(track_to_phi(bent, EPS))
         for k in range(5):
             labels = [(k, l) for l in range(3)]
             for la in labels:
                 for lb in labels:
                     if la >= lb:
                         continue
-                    d_flat = flat[la].value - flat[lb].value
-                    d_curved = curved[la].value - curved[lb].value
+                    d_flat = flat[la][1] - flat[lb][1]
+                    d_curved = curved[la][1] - curved[lb][1]
                     assert abs(d_flat - d_curved) <= 1e-10 * abs(d_flat)
 
     def test_precheck_rejects_wild_tail(self):
@@ -237,9 +270,9 @@ class TestTracking:
 
     def test_critical_set_dispatch(self):
         linear = default_line((3,))
-        assert critical_set(linear, EPS) == separable_critical_set(linear, EPS)
+        assert bits(critical_set(linear, EPS)) == bits(separable_critical_set(linear, EPS))
         coupled = default_line((3, 3), "xy_coupled")
-        assert len(critical_set(coupled, EPS).points) == 9
+        assert len(critical_set(coupled, EPS).labels) == 9
 
     def test_tail_differentiated_once_per_line(self, monkeypatch):
         line = default_line((3, 3), "xy_coupled")
@@ -282,7 +315,7 @@ class TestRootFinderOracle:
     @pytest.mark.parametrize("magnitude", [1e-2, 1e-3, 1e-4])
     def test_tracked_points_are_the_gradient_roots(self, a, magnitude):
         eps = magnitude * cmath.exp(0.37j)
-        tracked = track_to_phi(default_line((a,), "quadratic_1d"), eps).coords_array()[:, 0]
+        tracked = track_to_phi(default_line((a,), "quadratic_1d"), eps).coords[:, 0]
         roots = np.array(univariate_roots([-eps, -2 * eps] + [0.0] * (a - 2) + [1.0]))
         dist = np.abs(tracked[:, None] - roots[None, :])
         nearest = dist.argmin(axis=1)
@@ -355,7 +388,7 @@ def _reference_track(line, eps):
     linear_part = GenericLine(line.a, line.q, SparsePoly.zero(line.n))
     start = separable_critical_set(linear_part, eps)
     eps = complex(eps)
-    coords0 = start.coords_array()
+    coords0 = start.coords
     mu = coords0.shape[0]
     if mu > 1:
         dist0 = _reference_distances(coords0)
@@ -388,11 +421,7 @@ def _reference_track(line, eps):
     if coords is None:
         raise last_error
     values = critical_tracker._values_at(line, eps, coords)
-    points = tuple(
-        CriticalPoint(p.label, tuple(coords[k]), complex(values[k]))
-        for k, p in enumerate(start.points)
-    )
-    result = CriticalPointSet(eps, points)
+    result = CriticalPointSet(eps, start.labels, coords, values)
     critical_tracker._validate_set(line, eps, result)
     return result
 
@@ -434,7 +463,9 @@ class TestBatchedTracking:
         if jitter is not None:
             line = jittered_line(line, jitter)
         samples = GRIDS[grid].samples()
-        assert _tracked_sets(line, samples) == [_reference_track(line, eps) for eps in samples]
+        assert list(map(bits, _tracked_sets(line, samples))) == [
+            bits(_reference_track(line, eps)) for eps in samples
+        ]
 
     @pytest.mark.parametrize("coefficient, ascending", [(80.0, False), (80.0, True), (2.0, True)])
     def test_first_failing_sample_raises(self, coefficient, ascending):
@@ -458,8 +489,8 @@ class TestBatchedTracking:
     def test_batch_serves_only_its_own_line_and_samples(self):
         line = default_line((3, 3), "xy_coupled")
         batch = TrackedBatch(line, [EPS, EPS / 10])
-        assert track_to_phi(line, EPS / 10, batch) == track_to_phi(line, EPS / 10)
-        assert critical_set(line, EPS, batch) == _reference_track(line, EPS)
+        assert bits(track_to_phi(line, EPS / 10, batch)) == bits(track_to_phi(line, EPS / 10))
+        assert bits(critical_set(line, EPS, batch)) == bits(_reference_track(line, EPS))
         with pytest.raises(ValueError, match="not tracked in this batch"):
             track_to_phi(line, EPS / 100, batch)
         with pytest.raises(ValueError, match="another line"):
@@ -468,7 +499,9 @@ class TestBatchedTracking:
     def test_linear_line_uses_closed_forms(self):
         line = default_line((5, 3))
         samples = EpsilonGrid().samples()
-        assert _tracked_sets(line, samples) == [separable_critical_set(line, eps) for eps in samples]
+        assert list(map(bits, _tracked_sets(line, samples))) == [
+            bits(separable_critical_set(line, eps)) for eps in samples
+        ]
 
     def test_collision_names_two_distinct_points(self, monkeypatch):
         # a floor above every start distance collides at the first step of every attempt

@@ -157,7 +157,8 @@ class TestHessianProduct:
         monkeypatch.setattr(SparsePoly, "diff", counting)
         full = log_hessian_product(f_eps, points)
         per_set = len(calls)
-        single = log_hessian_product(f_eps, CriticalPointSet(points.epsilon, points.points[:1]))
+        first = CriticalPointSet(points.epsilon, points.labels[:1], points.coords[:1], points.values[:1])
+        single = log_hessian_product(f_eps, first)
         assert per_set == len(calls) - per_set == line.n + line.n**2
         assert single.logs.tolist() == full.logs[:1].tolist()
 
@@ -337,7 +338,7 @@ class TestIndexTables:
 @pytest.fixture(scope="module")
 def tracked_7_5_values():
     """Critical values of the tracked (7,5) xy_coupled set at EPS (mu = 35)."""
-    return critical_set(default_line((7, 5), "xy_coupled"), EPS).values()
+    return critical_set(default_line((7, 5), "xy_coupled"), EPS).values
 
 
 def kernel_magnitudes(kind, values):

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from phamlab.cli import main
+from phamlab.discriminant_products import LogProduct
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SLOPES = "{slopes}"  # replaced by a temporary CSV path
@@ -74,5 +75,15 @@ def run_case(argv, tmp_dir: Path) -> bytes:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, tmp_path, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
+    expected = (GOLDEN_DIR / f"{name}.txt").read_bytes()
+    assert run_case(CASES[name], tmp_path) == expected
+
+
+@pytest.mark.parametrize("name", sorted(name for name in CASES if name.startswith("trace_")))
+def test_trace_writes_rows_without_factor_records(name, tmp_path, monkeypatch):
+    def refuse(self, k):
+        raise AssertionError(f"trace built the record of factor {k}")
+
+    monkeypatch.setattr(LogProduct, "record", refuse)
     expected = (GOLDEN_DIR / f"{name}.txt").read_bytes()
     assert run_case(CASES[name], tmp_path) == expected

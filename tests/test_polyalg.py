@@ -95,6 +95,18 @@ class TestJsonLiteral:
         with pytest.raises(ValueError):
             SparsePoly.from_json_dict({"vars": 2})
 
+    def test_duplicate_exponent_is_rejected(self):
+        # two x*y entries used to overwrite each other silently
+        data = {"vars": 2, "terms": [{"exp": [1, 1], "re": 0.15}, {"exp": [1, 1], "re": 0.15}]}
+        with pytest.raises(ValueError, match=r"exponent \(1, 1\) is listed twice"):
+            SparsePoly.from_json_dict(data)
+
+    @pytest.mark.parametrize("re, im", [(math.nan, 0.0), (math.inf, 0.0), (0.1, -math.inf)])
+    def test_non_finite_coefficient_is_rejected(self, re, im):
+        data = {"vars": 2, "terms": [{"exp": [1, 0], "re": 1.0}, {"exp": [1, 1], "re": re, "im": im}]}
+        with pytest.raises(ValueError, match=r"of exponent \(1, 1\) is not finite"):
+            SparsePoly.from_json_dict(data)
+
 
 class TestUnivariateRoots:
     def test_cube_roots_of_unity(self):
