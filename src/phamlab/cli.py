@@ -12,12 +12,12 @@ an explicit --jitter seed.
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import json
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Optional, Sequence
 
 from .closed_forms import (
@@ -36,6 +36,7 @@ from .degree_lab import (
     DEFAULT_MU_CAP,
     EpsilonGrid,
     Kind,
+    _ray,
     cluster_scaling,
     slope_table_rows,
     verify_all,
@@ -233,7 +234,7 @@ def cmd_trace(args) -> int:
     if not 0 < args.eps < float("inf"):
         bound = "> 0" if args.eps <= 0 else "finite"
         raise ValueError(f"--eps is the magnitude |eps| and must be {bound}, got {args.eps}")
-    sample = complex(args.eps) * cmath.exp(1j * args.phase)
+    sample = complex(args.eps) * _ray(args.phase)
     product = evaluate_trace(line, [sample], [kind]).samples[0][kind]
     names = [",".join(map(str, label)) for label in product.labels]
     handle = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
@@ -293,6 +294,7 @@ def _add_line_flags(parser) -> None:
                         help="multiplicatively perturb q by factors in [0.9, 1.1]")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phamlab",

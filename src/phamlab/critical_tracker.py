@@ -13,10 +13,13 @@ All samples of a grid go through one batched homotopy (TrackedBatch), which
 retracks colliding samples with doubled steps; each sample keeps its own Newton
 stopping test, divergence check and collision floor, so its points are
 bit-identical to tracking it alone.  critical_set labels one sample's points.
+On at most 9 x 15 x 2 numbers a batched Newton iteration is per-call overhead,
+~170 us of which np.linalg.solve takes ~45.  That solve (LAPACK zgesv) and the
+uniform step grid stay: another solver, a predictor or other step counts would
+move the end-point bits, and with them every tracked output.
 
-A CriticalPointSet holds the labels in itertools.product order and two read-only
-arrays, the (mu, n) coordinates and (mu,) critical values, whose row k belongs to
-labels[k]; the tracker fills and the product kernels read these arrays directly.
+A CriticalPointSet holds the labels in itertools.product order and the read-only
+(mu, n) coordinates and (mu,) critical values, row k belonging to labels[k].
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -280,7 +283,7 @@ def _gradient(z: np.ndarray, exps: np.ndarray, eps_q: np.ndarray, eps_s, grads) 
     g = z**exps - eps_q
     for i, grad in enumerate(grads):
         if not grad.is_zero():
-            g[..., i] -= eps_s * grad.eval_batch(z.reshape(-1, z.shape[-1])).reshape(z.shape[:-1])
+            g[..., i] -= eps_s * grad.eval_batch(z)
     return g
 
 
@@ -292,13 +295,17 @@ def _values_at(line: GenericLine, eps: complex, coords: np.ndarray) -> np.ndarra
     return head - eps * (lin + tail)
 
 
+@cache
+def _pairs(mu: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the point pairs i < j, in row-major order."""
+    return np.triu_indices(mu, 1)
+
+
 def _pairwise_distances(coords: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the points coords[..., k, :], inf on the diagonal."""
-    diff = coords[..., :, None, :] - coords[..., None, :, :]
-    dist = np.sqrt((np.abs(diff) ** 2).sum(axis=-1))
-    diagonal = np.arange(coords.shape[-2])
-    dist[..., diagonal, diagonal] = np.inf
-    return dist
+    """Euclidean distances between the points coords[..., k, :], one per pair of _pairs."""
+    rows, cols = _pairs(coords.shape[-2])
+    diff = coords.take(rows, axis=-2) - coords.take(cols, axis=-2)
+    return np.sqrt((np.abs(diff) ** 2).sum(axis=-1))
 
 
 def _validate_set(line: GenericLine, eps: complex, cps: CriticalPointSet) -> None:
@@ -320,52 +327,73 @@ def _validate_set(line: GenericLine, eps: complex, cps: CriticalPointSet) -> Non
 
 
 def _newton_correct(
-    line: GenericLine, eps_q: np.ndarray, eps_s: np.ndarray, z: np.ndarray
+    line: GenericLine, exps: np.ndarray, eps_q: np.ndarray, eps_s: np.ndarray, z: np.ndarray
 ) -> tuple[np.ndarray, list[Optional[NewtonDivergence]]]:
     """Newton-correct the (S, mu, n) points z of S samples at their own eps*q rows and eps*s.
 
-    Each sample iterates until its own step test passes and is then left
-    alone, so its rows see the same operations as when corrected by itself.
-    Returns the corrected points and, per sample, None or its NewtonDivergence.
+    Each sample iterates until its own step test passes and is then left alone,
+    so its rows see the same operations as when corrected by itself.  Returns
+    the points, stale for a failed sample, and per sample None or its error.
     """
     grads, hessians = line.tail_derivatives
-    exps = np.array(line.a.a)
     n = line.n
     eps_s = eps_s[:, None]
+    # a constant Hessian entry h takes off the same eps*s*h in every iteration
+    fixed, varying = [], []
+    for i, j in itertools.product(range(n), repeat=2):
+        h = hessians[i][j]
+        if set(h.terms) == {(0,) * n}:
+            fixed.append((i, j, eps_s * h.eval_batch(z)))
+        elif not h.is_zero():
+            varying.append((i, j, h))
     z = z.copy()
     errors: list[Optional[NewtonDivergence]] = [None] * len(z)
+    # za, eps_q, eps_s and fixed hold the rows of the samples in active; z is
+    # written back and they are gathered anew only when one of those stops
     active = np.arange(len(z))
+    za = z
     for _ in range(NEWTON_MAX_ITERATIONS):
-        za = z[active]
-        g = _gradient(za, exps, eps_q[active], eps_s[active], grads)
+        g = _gradient(za, exps, eps_q, eps_s, grads)
         jac = np.zeros(za.shape + (n,), dtype=complex)
         for i in range(n):
             jac[..., i, i] = exps[i] * za[..., i] ** (exps[i] - 1)
-            for j, h in enumerate(hessians[i]):
-                if not h.is_zero():
-                    jac[..., i, j] -= eps_s[active] * h.eval_batch(za.reshape(-1, n)).reshape(za.shape[:-1])
-        moving = np.ones(len(active), dtype=bool)
+        for i, j, h in varying:
+            jac[..., i, j] -= eps_s * h.eval_batch(za)
+        for i, j, product in fixed:
+            jac[..., i, j] -= product
+        solved = True  # or, if some Jacobian is singular, the samples whose one is not
         try:
             delta = np.linalg.solve(jac, g[..., None])[..., 0]
         except np.linalg.LinAlgError:
             # name the singular samples; every matrix is solved on its own either way
             delta = np.zeros_like(g)
+            solved = np.ones(len(active), dtype=bool)
             for m, s in enumerate(active):
                 try:
                     delta[m] = np.linalg.solve(jac[m], g[m][..., None])[..., 0]
                 except np.linalg.LinAlgError as err:
                     errors[s] = NewtonDivergence(f"singular Jacobian during correction: {err}")
-                    moving[m] = False
+                    solved[m] = False
         za = za - delta
-        diverged = moving & (~np.isfinite(za).all(axis=(1, 2)) | (np.abs(za).max(axis=(1, 2)) > 1.5))
-        for s in active[diverged]:
-            errors[s] = NewtonDivergence("iterate left the unit polydisc region")
-        moving &= ~diverged
-        rel = (np.abs(delta[moving]) / (1.0 + np.abs(za[moving]))).max(axis=(1, 2))
+        size = np.abs(za)
+        # NaN fails the comparison, and |z| is inf for an infinite part
+        inside = size.max(axis=(1, 2)) <= 1.5
+        moving = solved & inside
+        if moving.all():
+            rel = (np.abs(delta) / (1.0 + size)).max(axis=(1, 2))
+            if (rel > NEWTON_REL_TOL).all():
+                continue  # no sample stops: nothing to write back or gather
+        else:
+            for s in active[solved & ~inside]:
+                errors[s] = NewtonDivergence("iterate left the unit polydisc region")
+            rel = (np.abs(delta[moving]) / (1.0 + size[moving])).max(axis=(1, 2))
+        keep = np.flatnonzero(moving)[rel > NEWTON_REL_TOL]
         z[active[moving]] = za[moving]
-        active = active[moving][rel > NEWTON_REL_TOL]
+        active = active[keep]
         if not active.size:
             return z, errors
+        za, eps_q, eps_s = za[keep], eps_q[keep], eps_s[keep]
+        fixed = [(i, j, product[keep]) for i, j, product in fixed]
     for s in active:
         errors[s] = NewtonDivergence(f"no convergence in {NEWTON_MAX_ITERATIONS} iterations")
     return z, errors
@@ -376,26 +404,30 @@ def _run_homotopy(
 ) -> tuple[np.ndarray, list[Optional[TrackerError]]]:
     """Step S samples from t = 0 to 1 over a uniform grid of ``steps`` steps.
 
+    floor holds each sample's collision floors in _pairwise_distances order.
     A sample stops at its first Newton failure or path collision.  Returns
     the end points and, per sample, None or the error that stopped it.
     """
     z = start.copy()
     errors: list[Optional[TrackerError]] = [None] * len(eps)
+    exps = np.array(line.a.a)
     eps_q = eps[:, None, None] * np.array(line.q)
     live = np.arange(len(eps))
     for k in range(1, steps + 1):
-        corrected, failures = _newton_correct(line, eps_q[live], eps[live] * (k / steps), z[live])
-        ok = np.array([err is None for err in failures], dtype=bool)
-        for s, err in zip(live, failures):
-            errors[s] = err
-        live, corrected = live[ok], corrected[ok]
+        corrected, failures = _newton_correct(line, exps, eps_q[live], eps[live] * (k / steps), z[live])
+        if any(failures):
+            for s, err in zip(live, failures):
+                errors[s] = err
+            ok = np.array([err is None for err in failures], dtype=bool)
+            live, corrected = live[ok], corrected[ok]
         z[live] = corrected
         dist = _pairwise_distances(corrected)
         close = dist < floor[live]
-        collided = close.any(axis=(1, 2))
+        collided = close.any(axis=1)
         for m in np.flatnonzero(collided):
-            rows, cols = np.nonzero(close[m])
-            worst = int((dist[m][rows, cols] / floor[live[m]][rows, cols]).argmin())
+            pairs = np.flatnonzero(close[m])
+            worst = pairs[int((dist[m, pairs] / floor[live[m], pairs]).argmin())]
+            rows, cols = _pairs(corrected.shape[1])
             errors[live[m]] = PathCollision(
                 f"points {rows[worst]} and {cols[worst]} collided at homotopy step {k}/{steps}"
             )
@@ -406,13 +438,11 @@ def _run_homotopy(
 
 
 def _collision_floor(line: GenericLine, eps: complex, coords0: np.ndarray) -> np.ndarray:
-    """Per-pair distance below which tracked paths count as collided.
+    """Distance per point pair below which tracked paths count as collided.
 
     Raises TrackerError when the predicted per-step Newton correction is not
     small against the closest pair of start points.
     """
-    if coords0.shape[0] == 1:
-        return np.zeros((1, 1))
     dist0 = _pairwise_distances(coords0)
     min_gap = float(dist0.min())
     grads, _ = line.tail_derivatives

@@ -35,6 +35,7 @@ from .closed_forms import (
 from .critical_tracker import (
     MAX_EPS_MAGNITUDE,
     GenericLine,
+    TrackedBatch,
     critical_set,
     default_line,
 )
@@ -90,15 +91,21 @@ class EpsilonGrid:
             raise ValueError("start magnitude must lie in (0, 1e-2]")
         if self.count < 4:
             raise ValueError("need at least 4 samples")
-        if not math.isfinite(self.phase):
-            raise ValueError(f"ray phase must be finite, got {self.phase}")
+        _ray(self.phase)  # rejects a non-finite phase
 
     def magnitudes(self) -> list[float]:
         return [self.start * self.ratio**k for k in range(self.count)]
 
     def samples(self) -> list[complex]:
-        ray = cmath.exp(1j * self.phase)
+        ray = _ray(self.phase)
         return [m * ray for m in self.magnitudes()]
+
+
+def _ray(phase: float) -> complex:
+    """The unit ray exp(i*phase); a non-finite phase is rejected."""
+    if not math.isfinite(phase):
+        raise ValueError(f"ray phase must be finite, got {phase}")
+    return cmath.exp(1j * phase)
 
 
 class Verdict(str, Enum):
@@ -393,8 +400,9 @@ def cluster_scaling(
         raise ValueError(f"the two magnitudes must be finite and > 0, got {m1} and {m2}")
     if m1 == m2:
         raise ValueError("the two magnitudes must differ")
-    ray = cmath.exp(1j * phase)
-    sets = [critical_set(line, m * ray) for m in (m1, m2)]
+    samples = [m * _ray(phase) for m in (m1, m2)]
+    batch = TrackedBatch(line, samples)
+    sets = [critical_set(line, eps, batch) for eps in samples]
     v1, v2 = (s.values.tolist() for s in sets)
     dlog = math.log(m1) - math.log(m2)
     exps = line.a.a

@@ -36,7 +36,7 @@ class NonConvergence(Exception):
 class SparsePoly:
     """Polynomial as a map from exponent multi-indices to complex coefficients.
 
-    Zero coefficients are never stored.
+    Zero coefficients are never stored; terms are kept in ascending exponent order.
     """
 
     __slots__ = ("n_vars", "terms")
@@ -55,7 +55,7 @@ class SparsePoly:
             value = complex(coef)
             if value != 0:
                 cleaned[key] = cleaned.get(key, 0j) + value
-        self.terms = {k: v for k, v in cleaned.items() if v != 0}
+        self.terms = {k: v for k, v in sorted(cleaned.items()) if v != 0}
 
     @classmethod
     def zero(cls, n_vars: int) -> "SparsePoly":
@@ -85,7 +85,7 @@ class SparsePoly:
         return hash((self.n_vars, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
-        body = " + ".join(f"{c!r}*z^{e}" for e, c in sorted(self.terms.items())) or "0"
+        body = " + ".join(f"{c!r}*z^{e}" for e, c in self.terms.items()) or "0"
         return f"SparsePoly({self.n_vars}, {body})"
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
@@ -112,7 +112,7 @@ class SparsePoly:
         if len(z) != self.n_vars:
             raise ValueError(f"point has {len(z)} coordinates, polynomial has {self.n_vars}")
         total = 0j
-        for exp, coef in sorted(self.terms.items()):
+        for exp, coef in self.terms.items():
             term = coef
             for zi, e in zip(z, exp):
                 if e:
@@ -121,16 +121,16 @@ class SparsePoly:
         return total
 
     def eval_batch(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at an (m, n_vars) array of complex points."""
+        """Evaluate at an (..., n_vars) array of complex points."""
         points = np.asarray(points, dtype=complex)
-        if points.ndim != 2 or points.shape[1] != self.n_vars:
-            raise ValueError("expected an (m, n_vars) array")
-        out = np.zeros(points.shape[0], dtype=complex)
-        for exp, coef in sorted(self.terms.items()):
-            term = np.full(points.shape[0], coef, dtype=complex)
+        if points.ndim < 1 or points.shape[-1] != self.n_vars:
+            raise ValueError("expected an (..., n_vars) array")
+        out = np.zeros(points.shape[:-1], dtype=complex)
+        for exp, coef in self.terms.items():
+            term = np.full(out.shape, coef, dtype=complex)
             for i, e in enumerate(exp):
                 if e:
-                    term = term * points[:, i] ** e
+                    term = term * points[..., i] ** e
             out += term
         return out
 

@@ -142,19 +142,16 @@ class TestTrace:
 
 
 class TestNonFinitePhase:
+    @pytest.mark.parametrize("phase", ["inf", "nan"])
     @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (("cluster", "3", "--phase", "inf"), "eps must be finite"),
-            (("trace", "3", "--phase", "nan"), "eps must be finite"),
-            (("verify", "3", "--phase", "inf"), "ray phase must be finite"),
-        ],
+        "argv",
+        [("cluster", "5", "3"), ("cluster", "5", "3", "--preset", "xy_coupled"), ("trace", "3"), ("verify", "3")],
     )
-    def test_rejected_with_usage_error(self, capsys, argv, message):
-        code, out, err = run(capsys, *argv)
+    def test_rejected_with_the_message_verify_gives(self, capsys, argv, phase):
+        code, out, err = run(capsys, *argv, "--phase", phase)
         assert code == 2
         assert out == ""
-        assert message in err
+        assert err == f"error: ray phase must be finite, got {phase}\n"
 
 
 class TestTraceMagnitude:

@@ -513,3 +513,64 @@ class TestBatchedTracking:
         pattern = rf"points (\d+) and (\d+) collided at homotopy step 1/{steps}"
         i, j = re.fullmatch(pattern, str(info.value)).groups()
         assert i != j
+
+
+def _outcome(call):
+    """The bits of the set a call returns, or the type and message of its error."""
+    try:
+        return bits(call())
+    except (ValueError, TrackerError) as err:
+        return type(err), str(err)
+
+
+def _failing_solve(mode, threshold):
+    """np.linalg.solve, broken for the Jacobians whose |entry (0, 1)| exceeds threshold.
+
+    On an xy_coupled line that entry is -eps*s*q_2, the same for every point
+    of a sample, so a sample is broken from the homotopy step where
+    |eps|*s*q_2 first exceeds threshold on, stacked or alone.
+    """
+    solve = np.linalg.solve
+
+    def broken(a, b):
+        hit = np.abs(a[..., 0, 1]) > threshold
+        if mode == "singular" and hit.any():
+            raise np.linalg.LinAlgError("Singular matrix")
+        x = solve(a, b)
+        if mode == "far":
+            x[hit] += 10.0
+        elif mode == "nan":
+            x[hit] = np.nan
+        elif mode == "slow":
+            x[hit] *= 0.01
+        return x
+
+    return broken
+
+
+class TestBatchedNewtonFailures:
+    """Samples that fail inside Newton correction next to samples that do not."""
+
+    @pytest.mark.parametrize(
+        "mode, message",
+        [
+            ("singular", "singular Jacobian during correction: Singular matrix"),
+            ("far", "iterate left the unit polydisc region"),
+            ("nan", "iterate left the unit polydisc region"),
+            ("slow", f"no convergence in {NEWTON_MAX_ITERATIONS} iterations"),
+        ],
+    )
+    @pytest.mark.parametrize("exps, jitter", [((3, 3), None), ((5, 3), 7)])
+    def test_each_sample_gets_what_it_gets_alone(self, monkeypatch, mode, message, exps, jitter):
+        line = default_line(exps, "xy_coupled")
+        if jitter is not None:
+            line = jittered_line(line, jitter)
+        # breaks |eps| = 1e-2 from s > 1/4 and |eps| = 10^-2.5 from s > 0.79 on
+        monkeypatch.setattr(np.linalg, "solve", _failing_solve(mode, 0.25e-2 * line.q[1]))
+        samples = EpsilonGrid().samples()
+        batch = TrackedBatch(line, samples)
+        got = [_outcome(lambda: critical_set(line, eps, batch)) for eps in samples]
+        alone = [_outcome(lambda: _reference_track(line, eps)) for eps in samples]
+        assert got == alone
+        assert got[:2] == [(NewtonDivergence, message)] * 2
+        assert all(isinstance(outcome[2], bytes) for outcome in got[2:])

@@ -8,7 +8,7 @@ import pytest
 
 from phamlab import degree_lab
 from phamlab.closed_forms import binom12, mixed_depth_counts
-from phamlab.critical_tracker import GenericLine, default_line, jittered_line
+from phamlab.critical_tracker import GenericLine, TrackedBatch, default_line, jittered_line
 from phamlab.degree_lab import (
     ClusterReport,
     DegreeEstimate,
@@ -245,6 +245,25 @@ class TestClusterScaling:
         monkeypatch.setattr(degree_lab, "critical_set", refuse)
         with pytest.raises(ValueError, match="must be finite and > 0"):
             cluster_scaling(default_line((5, 3)), pair)
+
+    def test_tracks_both_magnitudes_in_one_batch(self, monkeypatch):
+        built = []
+        track = TrackedBatch.__init__
+
+        def counted(self, line, eps_samples):
+            built.append(list(eps_samples))
+            track(self, line, eps_samples)
+
+        monkeypatch.setattr(TrackedBatch, "__init__", counted)
+        line = jittered_line(default_line((5, 3), "xy_coupled"), 7)
+        report = cluster_scaling(line, (1e-3, 1e-4), 0.5)
+        assert len(built) == 1 and len(built[0]) == 2
+        assert report.all_pass
+        with pytest.raises(ValueError, match="must differ"):
+            cluster_scaling(line, (1e-3, 1e-3))
+        with pytest.raises(ValueError, match="ray phase must be finite, got nan"):
+            cluster_scaling(line, (1e-3, 1e-4), math.nan)
+        assert len(built) == 1
 
 
 class TestVerifyAll:

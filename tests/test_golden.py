@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from phamlab.cli import main
+from phamlab.cli import build_parser, main
 from phamlab.discriminant_products import LogProduct
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -85,5 +85,17 @@ def test_trace_writes_rows_without_factor_records(name, tmp_path, monkeypatch):
         raise AssertionError(f"trace built the record of factor {k}")
 
     monkeypatch.setattr(LogProduct, "record", refuse)
+    expected = (GOLDEN_DIR / f"{name}.txt").read_bytes()
+    assert run_case(CASES[name], tmp_path) == expected
+
+
+@pytest.mark.parametrize("name", sorted(name for name in CASES if name.startswith("help")))
+def test_help_is_rendered_at_the_width_of_the_call(name, tmp_path, monkeypatch):
+    # the parser is built once per process; a narrow terminal at build time
+    # must not leak into help rendered later at COLUMNS=80
+    build_parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "30")
+    assert build_parser() is build_parser()
+    monkeypatch.setenv("COLUMNS", "80")
     expected = (GOLDEN_DIR / f"{name}.txt").read_bytes()
     assert run_case(CASES[name], tmp_path) == expected

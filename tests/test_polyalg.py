@@ -38,6 +38,23 @@ class TestEvaluate:
         for row, expected in zip(pts, batch):
             assert abs(p.evaluate(list(row)) - expected) < 1e-14
 
+    def test_batch_takes_any_leading_shape(self):
+        p = SparsePoly(2, {(2, 1): 1.5 - 0.5j, (0, 3): 2.0, (1, 0): -1j})
+        rng = np.random.default_rng(3)
+        pts = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
+        flat = p.eval_batch(pts.reshape(-1, 2))
+        assert p.eval_batch(pts).shape == (3, 4)
+        assert p.eval_batch(pts).tobytes() == flat.tobytes()
+        assert p.eval_batch(pts[1, 2]).shape == ()
+        assert abs(p.eval_batch(pts[1, 2]) - flat[6]) < 1e-14
+        with pytest.raises(ValueError, match=r"\(\.\.\., n_vars\)"):
+            p.eval_batch(pts[..., :1])
+
+    def test_terms_are_kept_in_ascending_exponent_order(self):
+        p = SparsePoly(2, {(2, 1): 1.0, (0, 3): 2.0, (1, 0): 3.0, (0, 0): 0.0})
+        assert list(p.terms) == [(0, 3), (1, 0), (2, 1)]
+        assert list((p + SparsePoly(2, {(0, 1): 1.0})).terms) == [(0, 1), (0, 3), (1, 0), (2, 1)]
+
 
 class TestGradient:
     def test_cube(self):
