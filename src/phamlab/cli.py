@@ -41,7 +41,7 @@ from .degree_lab import (
     slope_table_rows,
     verify_all,
 )
-from .discriminant_products import evaluate_trace
+from .discriminant_products import _log_chunks, evaluate_trace
 from .polyalg import SparsePoly
 
 EXIT_OK = 0
@@ -49,8 +49,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 EXIT_NUMERIC = 4
-
-_TRACE_CHUNK = 1 << 16  # trace CSV rows formatted per writerows call
 
 
 def _build_line(args, exponents: ExponentVector) -> GenericLine:
@@ -241,11 +239,11 @@ def cmd_trace(args) -> int:
     try:
         writer = csv.writer(handle)
         writer.writerow(["kind", "indices", "log_magnitude"])
-        for start in range(0, len(product.logs), _TRACE_CHUNK):
-            chunk = slice(start, start + _TRACE_CHUNK)
+        for start, logs in _log_chunks(product.table, product.values):
+            rows = product.rows[start : start + len(logs)].tolist()
             writer.writerows(
                 (kind.value, " ".join([names[i] for i in row]), "ExactZero" if math.isnan(x) else repr(x))
-                for row, x in zip(product.rows[chunk].tolist(), product.logs[chunk].tolist())
+                for row, x in zip(rows, logs.tolist())
             )
     finally:
         if args.out:

@@ -12,23 +12,36 @@ roundoff scale are recorded as exact zeros instead of being folded into the
 total, so a structurally degenerate line is detected rather than averaged
 away.
 
-The three tuple products share one kernel: each factor is sum_k c_k * v[idx_k]
-with the coefficient row (1, -1), (2, -1, -1) or (1, 1, -1, -1), over numpy
-index rows in fixed lexicographic tuple order, which keeps traces byte-for-byte
-reproducible.  The index rows depend only on (kind, mu): evaluate_trace builds
-each kind's table once and every sample reuses it, so the samples' products
-share one read-only rows array, stored in the smallest integer dtype that holds
-mu - 1.  Results are bit-identical to a scalar loop over the same tuples: the
-row applies left to right; a mirrored D or Omega configuration is the exact
-negation of one evaluated once; magnitudes come from np.hypot, logs from np.log
-(the same bits whether a call takes one factor or all; math.log differs in the
-last bit on some inputs), and each total adds the kept logs strictly left to
-right in tuple order, as a plain ``t += x`` loop does: np.add.accumulate keeps
-that order on every Python, while numpy's sum is pairwise and the built-in sum()
-is compensated from CPython 3.12 on.  FactorRecords are built only on demand by
-LogProduct.record, so a degenerate hint builds its one record alone.
-products_at takes one sample's tracked critical set, and the Hessian product
-differentiates f - eps*phi once per sample.
+All four products share one kernel: each factor is sum_k c_k * v[idx_k] with
+the coefficient row (1, -1), (2, -1, -1), (1, 1, -1, -1) or, over the Hessian
+determinants, (1,), over index rows in fixed lexicographic tuple order, which
+keeps traces byte-for-byte reproducible.  The index table depends only on
+(kind, mu), so evaluate_trace builds each tuple kind's once and every sample
+shares it read-only:
+- rows: every tuple, in the smallest integer dtype that holds mu - 1;
+- columns: the forward rows, one per configuration, transposed, in that same
+  dtype, widened to intp one chunk at a time (numpy gathers fastest with it);
+  a mirrored D or Omega configuration is the exact negation of one evaluated
+  once;
+- source: the forward row of every row, in the smallest unsigned dtype that
+  holds the forward count; None when every row is forward.
+The table is built in blocks of rows, so no intp array as long as the rows
+ever exists.
+
+The kernel walks the rows in chunks of _CHUNK.  It fills one float64 log per
+forward row, magnitudes from np.hypot and logs from np.log (the same bits
+whether a call takes one factor or all; math.log differs in the last bit on
+some inputs), then yields the logs in row order.  One sample's LogProduct holds
+only its total, the index of its first zero factor, the shared table and its
+mu values.  The total folds each chunk's kept logs with np.add.accumulate,
+the running total added into the chunk's first kept log, so it adds the kept
+logs strictly left to right in tuple order, as a plain ``t += x`` loop does:
+numpy's sum is pairwise and the built-in sum() is compensated from CPython
+3.12 on.  The per-factor logs and FactorRecords are rebuilt by the same kernel
+only on demand (trace, classify_factors, LogProduct.record); a degenerate
+hint reads the stored first-zero index alone.  products_at takes one sample's
+tracked critical set, and the Hessian product differentiates f - eps*phi once
+per sample.
 """
 
 from __future__ import annotations
@@ -39,7 +52,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -90,33 +103,160 @@ _TUPLES = {
     Kind.D_PAIR: (1, 1, (1, -1)),
     Kind.Y_TRIPLE: (1, 2, (2, -1, -1)),
     Kind.OMEGA_QUAD: (2, 2, (1, 1, -1, -1)),
+    Kind.HESSIAN: (1, 0, (1,)),
 }
+
+_CHUNK = 1 << 12  # rows per kernel pass and per index-table block
+
+
+@dataclass(frozen=True, eq=False)
+class _IndexTable:
+    """The index rows of one kind over mu points, shared by every sample of a trace."""
+
+    kind: Kind
+    mu: int
+    rows: np.ndarray
+    columns: np.ndarray
+    source: Optional[np.ndarray]
+
+
+def _groups(mu: int, size: int) -> np.ndarray:
+    groups = list(itertools.combinations(range(mu), size))
+    return np.array(groups, dtype=np.min_scalar_type(mu - 1)).reshape(len(groups), size)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _index_table(kind: Kind, mu: int) -> _IndexTable:
+    first, second, _ = _TUPLES[kind]
+    g1, g2 = _groups(mu, first), _groups(mu, second)
+    partners = math.comb(max(mu - first, 0), second)  # second groups disjoint from each first group
+    rows = np.empty((len(g1) * partners, first + second), g1.dtype)
+    columns, source = rows.T, None
+    # with equal group sizes, swapping the groups negates the factor: each configuration
+    # is evaluated once, at its forward row (first group before second), and ``source``
+    # maps every row to it
+    mirrored = first == second
+    if mirrored:
+        columns = np.empty((first + second, len(rows) // 2), g1.dtype)
+        source = np.empty(len(rows), np.min_scalar_type(len(rows) // 2))
+    seen = np.zeros(len(g2), np.intp)  # per second group: disjoint first groups in earlier blocks
+    done = 0  # forward rows so far
+    step = max(1, _CHUNK // max(len(g2), 1))
+    for a0 in range(0, len(g1), step):
+        disjoint = (g1[a0 : a0 + step, None, :, None] != g2[None, :, None, :]).all(axis=(2, 3))
+        a, b = np.nonzero(disjoint)
+        block = slice(a0 * partners, a0 * partners + len(a))
+        rows[block, :first] = g1[a0 + a]
+        rows[block, first:] = g2[b]
+        if not mirrored:
+            continue
+        is_forward = b > a0 + a
+        # forward rows take consecutive ranks; mirror (a, b) takes the rank of the earlier
+        # forward row (b, a), which sits at position #{c < a : c disjoint from b} of row b
+        forward = rows[block][is_forward]
+        columns[:, done : done + len(forward)] = forward.T
+        ranks = np.cumsum(is_forward) + (done - 1)
+        done += len(forward)
+        at = seen + np.cumsum(disjoint, axis=0) - 1
+        source[block] = ranks
+        mirror = ~is_forward
+        partner = b[mirror]
+        source[block][mirror] = source[partner * partners + at[a[mirror], partner]]
+        seen += disjoint.sum(axis=0)
+    if mirrored:
+        _read_only(source)
+    return _IndexTable(kind, mu, _read_only(rows), _read_only(columns), source)
+
+
+def _log_chunks(table: _IndexTable, values: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, logs) of consecutive chunks of rows in row order; NaN marks a zero factor.
+
+    The one product kernel: it takes the log of every forward row a chunk at a
+    time, then gives each chunk of rows the logs of its forward rows.  Every
+    chunk reuses the same buffers, so a yielded array is only valid until the
+    next one is asked for.  A factor applies its coefficient row as adds and
+    subtracts (2*v as v + v): the same values as multiplying by the coefficients,
+    but for the sign of a zero, which no magnitude sees.
+    """
+    coefs = _TUPLES[table.kind][2]
+    # the zero threshold takes the built-in abs of each value, whose bits do not depend on numpy's SIMD loops
+    threshold = ZERO_COEF * max((abs(v) for v in values.tolist()), default=0.0)
+    forward = np.full(table.columns.shape[1], np.nan)
+    width = min(_CHUNK, len(table.rows))  # no table has more forward rows than rows
+    buffers = np.empty(width, complex), np.empty(width, complex), np.empty(width), np.empty(width, bool)
+    for start in range(0, len(forward), _CHUNK):
+        term, factors, magnitudes, kept = (b[: len(forward) - start] for b in buffers)
+        columns = table.columns[:, start : start + len(factors)]
+        values.take(columns[0], out=factors, mode="clip")
+        if coefs[0] == 2:
+            factors += factors
+        for coef, column in zip(coefs[1:], columns[1:]):
+            values.take(column, out=term, mode="clip")
+            if coef > 0:
+                factors += term
+            else:
+                factors -= term
+        np.hypot(factors.real, factors.imag, out=magnitudes)
+        np.greater(magnitudes, threshold, out=kept)
+        np.log(magnitudes, out=forward[start : start + len(magnitudes)], where=kept)
+    for start in range(0, len(table.rows), _CHUNK):
+        if table.source is None:
+            yield start, forward[start : start + _CHUNK]
+        else:
+            source = table.source[start : start + _CHUNK]
+            yield start, forward.take(source, out=buffers[2][: len(source)], mode="clip")
 
 
 @dataclass(frozen=True, eq=False)
 class LogProduct:
-    """Total log-magnitude of one product plus its per-factor logs.
+    """Total log-magnitude of one product, with what rebuilds its factors.
 
-    logs[k] is log|factor k|, NaN where the factor fell below the zero
-    threshold; rows[k] holds the positions in ``labels`` of its points.
+    Factor k is formed from row k of ``table`` over ``values``; rows[k] holds
+    the positions in ``labels`` of its points.  first_zero is the index of the
+    first factor below the zero threshold, None if there is none.
     """
 
-    kind: Kind
     total: float  # sum over non-zero factors
-    logs: np.ndarray
-    rows: np.ndarray
+    first_zero: Optional[int]
+    table: _IndexTable
+    values: np.ndarray
     labels: tuple
 
+    @property
+    def kind(self) -> Kind:
+        return self.table.kind
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.table.rows
+
+    @property
+    def logs(self) -> np.ndarray:
+        """log|factor k| per row, NaN where the factor fell below the zero threshold.
+
+        Rebuilt by the kernel on every access; nothing keeps it.
+        """
+        logs = np.empty(len(self.rows))
+        for start, chunk in _log_chunks(self.table, self.values):
+            logs[start : start + len(chunk)] = chunk
+        return logs
+
     def record(self, k: int) -> FactorRecord:
-        """The record of factor k, built on demand."""
-        log = float(self.logs[k])
+        """The record of factor k, built on demand; the first zero's needs no logs."""
+        return self._record(k, math.nan if k == self.first_zero else float(self.logs[k]))
+
+    def _record(self, k: int, log: float) -> FactorRecord:
         labels = tuple(self.labels[i] for i in self.rows[k].tolist())
         return FactorRecord(self.kind, labels, None if math.isnan(log) else log)
 
     @cached_property
     def factors(self) -> tuple[FactorRecord, ...]:
         """One record per factor, built on first access."""
-        return tuple(map(self.record, range(len(self.logs))))
+        return tuple(itertools.starmap(self._record, enumerate(self.logs.tolist())))
 
     @property
     def zero_count(self) -> int:
@@ -124,7 +264,7 @@ class LogProduct:
 
     @property
     def has_zero(self) -> bool:
-        return bool(np.isnan(self.logs).any())
+        return self.first_zero is not None
 
 
 def factor_count(kind: Kind, mu: int) -> int:
@@ -137,113 +277,62 @@ def factor_count(kind: Kind, mu: int) -> int:
     return mu
 
 
-def _log_product(kind: Kind, factors: np.ndarray, scale_values, rows, labels, source=None) -> LogProduct:
-    """Zero threshold (scaled by max |scale_values|), logs and total in row order."""
-    threshold = ZERO_COEF * max((abs(v) for v in scale_values), default=0.0)
-    magnitudes = np.hypot(factors.real, factors.imag)
-    kept = magnitudes > threshold
-    logs = np.log(magnitudes, out=np.full(len(magnitudes), np.nan), where=kept)
-    if source is not None:
-        logs, kept = logs[source], kept[source]
-    # a running sum adds strictly left to right; its last entry is the total
-    running = logs[kept]
-    np.add.accumulate(running, out=running)
-    total = float(running[-1]) if len(running) else 0.0
-    return LogProduct(kind, total, logs, rows, tuple(labels))
-
-
-def _groups(mu: int, size: int) -> np.ndarray:
-    dtype = np.min_scalar_type(mu - 1)
-    return np.array(list(itertools.combinations(range(mu), size)), dtype=dtype).reshape(-1, size)
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
-@dataclass(frozen=True, eq=False)
-class _IndexTable:
-    """The index rows of one tuple kind over mu points, shared by every sample of a trace.
-
-    rows holds every tuple in lexicographic order, in the smallest integer
-    dtype that holds mu - 1; columns holds the forward rows, one per
-    configuration, transposed (intp, since numpy gathers fastest with it);
-    source maps each row to its forward row, None when every row is forward.
-    """
-
-    kind: Kind
-    mu: int
-    rows: np.ndarray
-    columns: np.ndarray
-    source: Optional[np.ndarray]
-
-
-def _index_table(kind: Kind, mu: int) -> _IndexTable:
-    first, second, _ = _TUPLES[kind]
-    g1, g2 = _groups(mu, first), _groups(mu, second)
-    a, b = np.nonzero((g1[:, None, :, None] != g2[None, :, None, :]).all(axis=(2, 3)))
-    rows = _read_only(np.hstack([g1[a], g2[b]]))
-    forward, source = rows, None
-    if first == second:
-        # with equal group sizes, swapping the groups negates the factor: evaluate each
-        # configuration once, at its smaller key; ``source`` maps every row to it
-        key = a * len(g2) + b
-        canonical = np.minimum(key, b * len(g2) + a)
-        is_forward = canonical == key
-        forward = rows[is_forward]
-        source = _read_only(np.searchsorted(key[is_forward], canonical))
-    columns = _read_only(np.ascontiguousarray(forward.T, dtype=np.intp))
-    return _IndexTable(kind, mu, rows, columns, source)
-
-
-def _tuple_product(
+def _product(
     kind: Kind, values: Sequence[complex], labels: Optional[Sequence], table: Optional[_IndexTable]
 ) -> LogProduct:
-    """Product over the kind's lexicographic tuples of sum_k c_k * v[idx_k]."""
-    mu = len(values)
+    """Fold the kernel's chunks into the total and the first zero, in row order."""
+    v = np.asarray(values, dtype=complex)
+    mu = len(v)
     if table is None:
         table = _index_table(kind, mu)
     elif (table.kind, table.mu) != (kind, mu):
         raise ValueError(
             f"index table of {table.kind.value} at mu={table.mu} used for {kind.value} at mu={mu}"
         )
-    coefs = _TUPLES[kind][2]
-    v = np.asarray(values, dtype=complex)
-    factors = coefs[0] * v[table.columns[0]]
-    for coef, column in zip(coefs[1:], table.columns[1:]):
-        factors += coef * v[column]
-    labels = range(mu) if labels is None else labels
-    # the zero threshold takes the built-in abs of each value, whose bits do not depend on numpy's SIMD loops
-    return _log_product(kind, factors, v.tolist(), table.rows, labels, table.source)
+    total, first_zero = 0.0, None
+    zeros = np.empty(min(_CHUNK, len(table.rows)), bool)
+    for start, logs in _log_chunks(table, v):
+        zero = np.isnan(logs, out=zeros[: len(logs)])
+        if zero.any():
+            # a zero factor adds 0.0, which leaves the bits of every partial sum as they are
+            # (no partial sum is -0.0)
+            first_zero = start + int(zero.argmax()) if first_zero is None else first_zero
+            np.copyto(logs, 0.0, where=zero)
+        # the running total is the chunk's first addend, so the sum runs strictly left to right
+        logs[0] += total
+        np.add.accumulate(logs, out=logs)
+        total = float(logs[-1])
+    return LogProduct(total, first_zero, table, v, tuple(range(mu) if labels is None else labels))
 
 
 def log_D(
     values: Sequence[complex], labels: Optional[Sequence] = None, table: Optional[_IndexTable] = None
 ) -> LogProduct:
     """Product over ordered pairs i != j of v_i - v_j."""
-    return _tuple_product(Kind.D_PAIR, values, labels, table)
+    return _product(Kind.D_PAIR, values, labels, table)
 
 
 def log_Y(
     values: Sequence[complex], labels: Optional[Sequence] = None, table: Optional[_IndexTable] = None
 ) -> LogProduct:
     """Product over triples (distinguished v_1, unordered v_2, v_3) of 2*v_1 - v_2 - v_3."""
-    return _tuple_product(Kind.Y_TRIPLE, values, labels, table)
+    return _product(Kind.Y_TRIPLE, values, labels, table)
 
 
 def log_Omega(
     values: Sequence[complex], labels: Optional[Sequence] = None, table: Optional[_IndexTable] = None
 ) -> LogProduct:
     """Product over ordered pairs of disjoint unordered pairs of v1+v2-v3-v4."""
-    return _tuple_product(Kind.OMEGA_QUAD, values, labels, table)
+    return _product(Kind.OMEGA_QUAD, values, labels, table)
 
 
 def log_hessian_product(f_eps: SparsePoly, points: CriticalPointSet) -> LogProduct:
     """Product over the critical points of |det Hess(f - eps*phi)|."""
-    dets = hessian_det_at(f_eps, points.coords.tolist())
-    rows = np.arange(len(dets))[:, None]
-    return _log_product(Kind.HESSIAN, np.array(dets, dtype=complex), dets, rows, points.labels)
+    mu = len(points.labels)
+    # one row per point: the table of the Hessian's (1, 0) groups, formed directly since it is the identity
+    rows = _read_only(np.arange(mu, dtype=np.min_scalar_type(mu - 1))[:, None])
+    table = _IndexTable(Kind.HESSIAN, mu, rows, rows.T, None)
+    return _product(Kind.HESSIAN, hessian_det_at(f_eps, points.coords.tolist()), points.labels, table)
 
 
 def products_at(
@@ -252,7 +341,7 @@ def products_at(
     """Evaluate the requested products over ``points``, the critical set of line at points.epsilon.
 
     ``tables`` maps a tuple kind to its index table for this mu, as evaluate_trace
-    builds them; a kind without one builds its own.
+    builds them; a kind without one, and the Hessian, builds its own.
     """
     tables = tables or {}
     out: dict[Kind, LogProduct] = {}
@@ -268,14 +357,14 @@ def products_at(
         else:
             raise ValueError(f"unknown product kind {kind}")
         expected = factor_count(kind, line.a.mu)
-        if len(out[kind].logs) != expected:
-            raise AssertionError(f"{kind.value}: {len(out[kind].logs)} factors, expected {expected}")
+        if len(out[kind].rows) != expected:
+            raise AssertionError(f"{kind.value}: {len(out[kind].rows)} factors, expected {expected}")
     return out
 
 
 @dataclass(frozen=True)
 class LogProductTrace:
-    """Per-sample product logs along a ray, factor-aligned across samples."""
+    """Per-sample products along a ray, factor-aligned across samples."""
 
     epsilon_samples: tuple[complex, ...]
     samples: tuple[dict, ...]  # one {Kind: LogProduct} per epsilon
@@ -294,7 +383,7 @@ class LogProductTrace:
         for s in self.samples:
             product = s[kind]
             if product.has_zero:
-                return product.record(int(np.isnan(product.logs).argmax()))
+                return product.record(product.first_zero)
         return None
 
 
@@ -307,7 +396,7 @@ def evaluate_trace(
     Raises the error of the first sample, in the given order, whose set fails.
     """
     kinds = list(kinds)
-    tables = {kind: _index_table(kind, line.a.mu) for kind in kinds if kind in _TUPLES}
+    tables = {kind: _index_table(kind, line.a.mu) for kind in kinds if kind is not Kind.HESSIAN}
     batch = TrackedBatch(line, eps_samples)
     samples = tuple(
         products_at(line, critical_set(line, eps, batch), kinds, tables) for eps in eps_samples

@@ -24,7 +24,7 @@ from phamlab.degree_lab import (
     slope_table_rows,
     verify_all,
 )
-from phamlab.discriminant_products import LogProduct, LogProductTrace, evaluate_trace
+from phamlab.discriminant_products import LogProduct, LogProductTrace, _IndexTable, evaluate_trace
 from phamlab.polyalg import SparsePoly
 
 
@@ -210,7 +210,15 @@ class TestHistogramTotal:
         # one factor decaying exactly as eps^(4/3) snaps cleanly to a non-integer total
         mags = (1e-3, 1e-4)
         samples = tuple(
-            {Kind.D_PAIR: LogProduct(Kind.D_PAIR, log, np.array([log]), np.array([[0, 1]]), (0, 1))}
+            {
+                Kind.D_PAIR: LogProduct(
+                    log,
+                    None,
+                    _IndexTable(Kind.D_PAIR, 2, np.array([[0, 1]]), np.array([[0], [1]]), None),
+                    np.array([math.exp(log), 0j]),
+                    (0, 1),
+                )
+            }
             for log in (4 / 3 * math.log(m) for m in mags)
         )
         with pytest.raises(ValueError, match="4/3, not an integer"):

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -393,3 +394,126 @@ class TestLogFunction:
                 for log, magnitude in zip(product.logs[kept].tolist(), magnitudes[kept].tolist())
             ]
         assert max(ulps) <= 1
+
+
+def refuse_logs(self):
+    raise AssertionError("per-factor logs were built")
+
+
+class TestChunkBoundaries:
+    """The kernel walks rows in chunks of _CHUNK; no chunk size may change a bit."""
+
+    @pytest.fixture(params=[1, 2, 7])
+    def chunk(self, request, monkeypatch):
+        monkeypatch.setattr(discriminant_products, "_CHUNK", request.param)
+        return request.param
+
+    @pytest.mark.parametrize(
+        "mu, plant", [(mu, plant) for mu in range(1, 9) for plant in PLANTS if mu >= PLANTS[plant]]
+    )
+    def test_small_chunks_match_the_scalar_reference(self, chunk, mu, plant):
+        values = planted_values(mu, plant, seed=100 * mu + len(plant or ""))
+        labels = [(k, k % 3) for k in range(mu)]
+        expected = reference_products(values)
+        for kind, op in KERNELS.items():
+            result = op(values, labels)
+            ref = expected[kind]
+            total = 0.0
+            for _, log in ref:
+                if log is not None:
+                    total += log
+            assert result.total == total
+            zeros = [k for k, (_, log) in enumerate(ref) if log is None]
+            assert result.first_zero == (zeros[0] if zeros else None)
+            want = np.array([np.nan if log is None else log for _, log in ref])
+            assert result.logs.tobytes() == want.tobytes()
+            # each record rebuilds the logs, so check the ends, both sides of the first
+            # chunk boundaries and every zero; ``factors`` checks all rows at once
+            picks = {0, len(ref) - 1, *range(chunk - 1, 8 * chunk + 1), *zeros} & set(range(len(ref)))
+            for k in sorted(picks):
+                assert result.record(k) == result.factors[k]
+            assert [f.indices for f in result.factors] == [tuple(labels[i] for i in idx) for idx, _ in ref]
+            assert [f.log_magnitude for f in result.factors] == [log for _, log in ref]
+
+    @pytest.mark.parametrize("kind", [Kind.D_PAIR, Kind.Y_TRIPLE, Kind.OMEGA_QUAD])
+    @pytest.mark.parametrize("mu", [1, 2, 3, 4, 5, 8, 9])
+    def test_tables_built_in_blocks_equal_one_block(self, chunk, kind, mu):
+        small = discriminant_products._index_table(kind, mu)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(discriminant_products, "_CHUNK", 1 << 20)
+            whole = discriminant_products._index_table(kind, mu)
+        for field in ("rows", "columns", "source"):
+            a, b = getattr(small, field), getattr(whole, field)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()
+                assert not a.flags.writeable
+
+    def test_mirror_reads_a_forward_row_of_an_earlier_chunk(self, chunk):
+        values = planted_values(6, None, seed=5)
+        table = discriminant_products._index_table(Kind.OMEGA_QUAD, 6)
+        rows = [tuple(r) for r in table.rows.tolist()]
+        position = {row: k for k, row in enumerate(rows)}
+        earlier = [
+            k for k, row in enumerate(rows) if position[row[2:] + row[:2]] // chunk < k // chunk
+        ]
+        assert earlier  # every chunk size here splits some mirror from its forward row
+        result = log_Omega(values)
+        ref = reference_products(values)[Kind.OMEGA_QUAD]
+        assert result.logs[earlier].tolist() == [ref[k][1] for k in earlier]
+
+    def test_hessian_product_does_not_depend_on_the_chunk(self, chunk):
+        line = default_line((3, 3), "xy_coupled")
+        points, f_eps = critical_set(line, EPS), line_function(line, EPS)
+        small = log_hessian_product(f_eps, points)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(discriminant_products, "_CHUNK", 1 << 20)
+            whole = log_hessian_product(f_eps, points)
+        assert small.total == whole.total
+        assert small.logs.tobytes() == whole.logs.tobytes()
+        # the identity table the Hessian forms is the one its (1, 0) groups give
+        table = discriminant_products._index_table(Kind.HESSIAN, len(points.labels))
+        assert small.rows.dtype == table.rows.dtype and (small.rows == table.rows).all()
+        assert (small.table.columns == table.columns).all() and table.source is None
+
+    def test_leading_chunk_without_kept_logs(self, chunk):
+        # v_0 = v_1 = ... = v_chunk: the first ``chunk`` rows, (0, 1) ... (0, chunk), are all zero
+        mu = chunk + 3
+        values = planted_values(mu, None, seed=chunk)
+        values[1 : chunk + 1] = [values[0]] * chunk
+        result = log_D(values)
+        ref = reference_products(values)[Kind.D_PAIR]
+        assert all(log is None for _, log in ref[:chunk])
+        assert ref[chunk][1] is not None
+        total = 0.0
+        for _, log in ref:
+            if log is not None:
+                total += log
+        assert result.total == total
+        assert result.first_zero == 0
+        assert result.zero_count == sum(log is None for _, log in ref)
+
+
+class TestVerifyKeepsTotalsOnly:
+    """verify reads totals and first zeros; it never forms per-factor logs."""
+
+    def test_match_rows_build_no_logs(self, monkeypatch):
+        monkeypatch.setattr(LogProduct, "logs", property(refuse_logs))
+        report = verify_all((7, 5), "xy_coupled", mu_cap=64)
+        assert [r.verdict for r in report.rows][:3] == ["Match"] * 3
+
+    def test_degenerate_hint_reads_the_stored_index(self, monkeypatch):
+        monkeypatch.setattr(LogProduct, "logs", property(refuse_logs))
+        row = verify_all((32,), mu_cap=64).rows[4]
+        assert row.verdict == "Degenerate"
+        assert row.hint == "parallelogram: (0),(16) | (1),(17)"
+
+    def test_peak_traced_memory_of_7_5(self):
+        verify_all((3, 3), "xy_coupled")  # imports and one-time caches stay outside the window
+        tracemalloc.start()
+        try:
+            verify_all((7, 5), "xy_coupled", mu_cap=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6

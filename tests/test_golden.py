@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from phamlab import discriminant_products
 from phamlab.cli import build_parser, main
 from phamlab.discriminant_products import LogProduct
 
@@ -85,6 +86,20 @@ def test_trace_writes_rows_without_factor_records(name, tmp_path, monkeypatch):
         raise AssertionError(f"trace built the record of factor {k}")
 
     monkeypatch.setattr(LogProduct, "record", refuse)
+    expected = (GOLDEN_DIR / f"{name}.txt").read_bytes()
+    assert run_case(CASES[name], tmp_path) == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+@pytest.mark.parametrize("name", sorted(name for name in CASES if name.startswith("trace_")))
+def test_trace_streams_the_kernel_chunks(name, chunk, tmp_path, monkeypatch):
+    # the CSV is written chunk by chunk as the kernel yields them; no full log array is formed
+    def refuse(self):
+        raise AssertionError("trace built the per-factor log array")
+
+    monkeypatch.setattr(LogProduct, "logs", property(refuse))
+    if chunk is not None:
+        monkeypatch.setattr(discriminant_products, "_CHUNK", chunk)
     expected = (GOLDEN_DIR / f"{name}.txt").read_bytes()
     assert run_case(CASES[name], tmp_path) == expected
 
