@@ -16,8 +16,8 @@ All four products share one kernel: each factor is sum_k c_k * v[idx_k] with
 the coefficient row (1, -1), (2, -1, -1), (1, 1, -1, -1) or, over the Hessian
 determinants, (1,), over index rows in fixed lexicographic tuple order, which
 keeps traces byte-for-byte reproducible.  The index table depends only on
-(kind, mu), so evaluate_trace builds each tuple kind's once and every sample
-shares it read-only:
+(kind, mu), so evaluate_trace builds each kind's once and every sample shares
+it read-only:
 - rows: every tuple, in the smallest integer dtype that holds mu - 1;
 - columns: the forward rows, one per configuration, transposed, in that same
   dtype, widened to intp one chunk at a time (numpy gathers fastest with it);
@@ -25,8 +25,18 @@ shares it read-only:
   once;
 - source: the forward row of every row, in the smallest unsigned dtype that
   holds the forward count; None when every row is forward.
-The table is built in blocks of rows, so no intp array as long as the rows
-ever exists.
+All three follow from the combinatorics, with no search for disjoint groups.
+The partners of a first group a, the second groups b disjoint from it, are
+combinations(range(mu - |a|), |b|), one list shared by every a, relabelled
+through the points outside a in increasing order.  So a's block of rows is a
+followed by each relabelled combination, and its partners come in increasing
+rank.  With equal group sizes the forward rows of a block are therefore a
+suffix, after the partners that rank below a: i of them for a pair starting
+at i, i*(mu-3) - i*(i-1)/2 for a quadruple.  Forward rows take consecutive
+ranks, and each rank is also scattered to the mirror (b, a), at row
+rank(b) * partners plus the rank of a among the points outside b.  The table
+is built in blocks of about _CHUNK rows, so no array as long as the rows
+exists but the table's own.
 
 The kernel walks the rows in chunks of _CHUNK.  It fills one float64 log per
 forward row, magnitudes from np.hypot and logs from np.log (the same bits
@@ -130,10 +140,31 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _group_rank(group: np.ndarray, m: int) -> np.ndarray:
+    """Lexicographic rank among the groups of range(m) of each column of ``group``: 1 or 2 sorted points."""
+    if len(group) == 1:
+        return group[0]
+    k, l = group
+    return k * (2 * m - k - 1) // 2 + l - k - 1
+
+
 def _index_table(kind: Kind, mu: int) -> _IndexTable:
     first, second, _ = _TUPLES[kind]
-    g1, g2 = _groups(mu, first), _groups(mu, second)
-    partners = math.comb(max(mu - first, 0), second)  # second groups disjoint from each first group
+    g1 = _groups(mu, first)
+    free = max(mu - first, 0)  # points outside each first group
+    # order[a]: the points of first group a, then the points outside it in increasing order
+    # (the p-th outside point is p plus the number of points of a at or below it)
+    outside = np.empty((len(g1), free), g1.dtype)
+    outside[:] = np.arange(free)
+    for column in g1.T:
+        outside += column[:, None] <= outside
+    order = np.concatenate([g1, outside], axis=1)
+    # the block of a first group is its order gathered at ``picks``: the group's own
+    # positions, then each second group of the outside positions, in lexicographic order
+    head = tuple(range(first))
+    picks = [head + c for c in itertools.combinations(range(first, first + free), second)]
+    partners = len(picks)
+    picks = np.array(picks, np.intp).reshape(partners, first + second)
     rows = np.empty((len(g1) * partners, first + second), g1.dtype)
     columns, source = rows.T, None
     # with equal group sizes, swapping the groups negates the factor: each configuration
@@ -143,30 +174,33 @@ def _index_table(kind: Kind, mu: int) -> _IndexTable:
     if mirrored:
         columns = np.empty((first + second, len(rows) // 2), g1.dtype)
         source = np.empty(len(rows), np.min_scalar_type(len(rows) // 2))
-    seen = np.zeros(len(g2), np.intp)  # per second group: disjoint first groups in earlier blocks
+        # the partners of a first group come in increasing rank, so its forward rows are
+        # the suffix after the partners ranked below it, which all start before its first
+        # point i: i of them for a pair, sum over k < i of (mu - k - 3) for a quadruple
+        i = g1[:, 0].astype(np.intp)
+        earlier = i if first == 1 else i * (mu - 3) - i * (i - 1) // 2
     done = 0  # forward rows so far
-    step = max(1, _CHUNK // max(len(g2), 1))
+    step = max(1, _CHUNK // max(partners, 1))
     for a0 in range(0, len(g1), step):
-        disjoint = (g1[a0 : a0 + step, None, :, None] != g2[None, :, None, :]).all(axis=(2, 3))
-        a, b = np.nonzero(disjoint)
-        block = slice(a0 * partners, a0 * partners + len(a))
-        rows[block, :first] = g1[a0 + a]
-        rows[block, first:] = g2[b]
+        a1 = min(a0 + step, len(g1))
+        block = rows[a0 * partners : a1 * partners]
+        out = block.reshape(a1 - a0, partners, first + second)
+        np.take(order[a0:a1], picks, axis=1, out=out, mode="clip")
         if not mirrored:
             continue
-        is_forward = b > a0 + a
-        # forward rows take consecutive ranks; mirror (a, b) takes the rank of the earlier
-        # forward row (b, a), which sits at position #{c < a : c disjoint from b} of row b
-        forward = rows[block][is_forward]
-        columns[:, done : done + len(forward)] = forward.T
-        ranks = np.cumsum(is_forward) + (done - 1)
-        done += len(forward)
-        at = seen + np.cumsum(disjoint, axis=0) - 1
-        source[block] = ranks
-        mirror = ~is_forward
-        partner = b[mirror]
-        source[block][mirror] = source[partner * partners + at[a[mirror], partner]]
-        seen += disjoint.sum(axis=0)
+        at = np.flatnonzero(np.arange(partners) >= earlier[a0:a1, None])
+        ranks = np.arange(done, done + len(at))
+        source[a0 * partners + at] = ranks
+        forward = block.take(at, axis=0).T
+        columns[:, done : done + len(ranks)] = forward
+        done += len(ranks)
+        # the mirror (b, a) of forward row (a, b) sits in block rank(b), at the rank of a
+        # among the points outside b; relabel a there from b's last point down, so that
+        # each shift compares with an unshifted point
+        a, b = forward[:first].astype(np.intp), forward[first:].astype(np.intp)
+        for point in b[::-1]:
+            a -= point < a
+        source[_group_rank(b, mu) * partners + _group_rank(a, free)] = ranks
     if mirrored:
         _read_only(source)
     return _IndexTable(kind, mu, _read_only(rows), _read_only(columns), source)
@@ -326,12 +360,10 @@ def log_Omega(
     return _product(Kind.OMEGA_QUAD, values, labels, table)
 
 
-def log_hessian_product(f_eps: SparsePoly, points: CriticalPointSet) -> LogProduct:
+def log_hessian_product(
+    f_eps: SparsePoly, points: CriticalPointSet, table: Optional[_IndexTable] = None
+) -> LogProduct:
     """Product over the critical points of |det Hess(f - eps*phi)|."""
-    mu = len(points.labels)
-    # one row per point: the table of the Hessian's (1, 0) groups, formed directly since it is the identity
-    rows = _read_only(np.arange(mu, dtype=np.min_scalar_type(mu - 1))[:, None])
-    table = _IndexTable(Kind.HESSIAN, mu, rows, rows.T, None)
     return _product(Kind.HESSIAN, hessian_det_at(f_eps, points.coords.tolist()), points.labels, table)
 
 
@@ -340,8 +372,8 @@ def products_at(
 ) -> dict[Kind, LogProduct]:
     """Evaluate the requested products over ``points``, the critical set of line at points.epsilon.
 
-    ``tables`` maps a tuple kind to its index table for this mu, as evaluate_trace
-    builds them; a kind without one, and the Hessian, builds its own.
+    ``tables`` maps a kind to its index table for this mu, as evaluate_trace
+    builds them; a kind without one builds its own.
     """
     tables = tables or {}
     out: dict[Kind, LogProduct] = {}
@@ -353,7 +385,7 @@ def products_at(
         elif kind is Kind.OMEGA_QUAD:
             out[kind] = log_Omega(points.values, points.labels, tables.get(kind))
         elif kind is Kind.HESSIAN:
-            out[kind] = log_hessian_product(line_function(line, points.epsilon), points)
+            out[kind] = log_hessian_product(line_function(line, points.epsilon), points, tables.get(kind))
         else:
             raise ValueError(f"unknown product kind {kind}")
         expected = factor_count(kind, line.a.mu)
@@ -392,11 +424,11 @@ def evaluate_trace(
 ) -> LogProductTrace:
     """Products at every sample; the critical sets of all samples are tracked together.
 
-    Each tuple kind's index table is built once and serves every sample.
+    Each kind's index table is built once and serves every sample.
     Raises the error of the first sample, in the given order, whose set fails.
     """
     kinds = list(kinds)
-    tables = {kind: _index_table(kind, line.a.mu) for kind in kinds if kind is not Kind.HESSIAN}
+    tables = {kind: _index_table(kind, line.a.mu) for kind in kinds}
     batch = TrackedBatch(line, eps_samples)
     samples = tuple(
         products_at(line, critical_set(line, eps, batch), kinds, tables) for eps in eps_samples

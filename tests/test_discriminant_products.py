@@ -319,9 +319,9 @@ class TestIndexTables:
         line = default_line((7, 5))
         trace = evaluate_trace(line, EpsilonGrid().samples(), list(Kind))
         assert len(trace.samples) == 7
-        tuple_kinds = [Kind.D_PAIR, Kind.Y_TRIPLE, Kind.OMEGA_QUAD]
-        assert built == [(kind, 35) for kind in tuple_kinds]
-        for kind in tuple_kinds:
+        # the Hessian's identity table too: one per trace, not one per sample
+        assert built == [(kind, 35) for kind in Kind]
+        for kind in Kind:
             rows = trace.samples[0][kind].rows
             assert all(s[kind].rows is rows for s in trace.samples)
             assert not rows.flags.writeable
@@ -334,6 +334,84 @@ class TestIndexTables:
         assert result.rows.dtype == np.uint16
         assert result.record(0).indices == (0, 1)
         assert result.record(len(result.logs) - 1).indices == (256, 255)
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    @pytest.mark.parametrize("mu", range(1, 15))
+    def test_table_equals_its_definition(self, kind, mu):
+        assert_table_is(discriminant_products._index_table(kind, mu), reference_table(kind, mu))
+
+    @pytest.mark.parametrize("kind, mu, wide", [
+        (Kind.OMEGA_QUAD, 28, ("source", np.uint16)),
+        (Kind.OMEGA_QUAD, 29, ("source", np.uint32)),
+        (Kind.D_PAIR, 256, ("rows", np.uint8)),
+        (Kind.D_PAIR, 257, ("rows", np.uint16)),
+    ])
+    def test_table_at_a_dtype_boundary(self, kind, mu, wide):
+        table = discriminant_products._index_table(kind, mu)
+        field, dtype = wide
+        assert getattr(table, field).dtype == dtype
+        assert_table_is(table, reference_table(kind, mu))
+
+    def test_sampled_rows_of_y_past_uint8(self):
+        mu, partners = 257, math.comb(256, 2)
+        table = discriminant_products._index_table(Kind.Y_TRIPLE, mu)
+        assert table.rows.dtype == np.uint16 and table.rows.shape == (mu * partners, 3)
+        assert table.source is None and (table.columns == table.rows.T).all()
+        assert not table.rows.flags.writeable and not table.columns.flags.writeable
+        rng = random.Random(257)
+        # both ends of every first group's block where a point passes 255, and random rows
+        picks = {0, len(table.rows) - 1, *(rng.randrange(len(table.rows)) for _ in range(200))}
+        for i in (0, 1, 254, 255, 256):
+            picks |= {i * partners, i * partners + 1, (i + 1) * partners - 2, (i + 1) * partners - 1}
+        for k in sorted(picks):
+            i, t = divmod(k, partners)
+            outside = [x for x in range(mu) if x != i]
+            second = next(itertools.islice(itertools.combinations(outside, 2), t, None))
+            assert tuple(table.rows[k].tolist()) == (i, *second)
+
+    def test_transient_memory_of_the_omega_table(self):
+        discriminant_products._index_table(Kind.OMEGA_QUAD, 9)  # one-time numpy set-up stays outside
+        tracemalloc.start()
+        try:
+            table = discriminant_products._index_table(Kind.OMEGA_QUAD, 63)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = table.rows.nbytes + table.columns.nbytes + table.source.nbytes
+        # no temporary as long as the rows, even a one-byte one (3.6 MB here)
+        assert peak - kept < 2e6
+
+
+def reference_table(kind, mu):
+    """(rows, columns, source) from the definition: disjoint (first, second) groups in
+    lexicographic order; with equal group sizes, the forward rows (first group before
+    second) as columns, and each row's source the forward rank of the row or of its swap."""
+    first, second, _ = discriminant_products._TUPLES[kind]
+    rows = [
+        g + h
+        for g in itertools.combinations(range(mu), first)
+        for h in itertools.combinations([x for x in range(mu) if x not in g], second)
+    ]
+    dtype = np.min_scalar_type(mu - 1)
+    table = np.array(rows, dtype).reshape(len(rows), first + second)
+    if first != second:
+        return table, table.T, None
+    forward = [row for row in rows if row[:first] < row[first:]]
+    rank = {row: r for r, row in enumerate(forward)}
+    source = [rank[row] if row in rank else rank[row[first:] + row[:first]] for row in rows]
+    columns = np.array(forward, dtype).reshape(len(forward), first + second).T
+    return table, columns, np.array(source, np.min_scalar_type(len(rows) // 2))
+
+
+def assert_table_is(table, expected):
+    for field, want in zip(("rows", "columns", "source"), expected):
+        got = getattr(table, field)
+        if want is None:
+            assert got is None, field
+            continue
+        assert got.dtype == want.dtype and got.shape == want.shape, field
+        assert (got == want).all(), field
+        assert not got.flags.writeable, field
 
 
 @pytest.fixture(scope="module")
