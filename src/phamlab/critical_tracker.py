@@ -244,6 +244,8 @@ def separable_critical_set(line: GenericLine, eps: complex) -> CriticalPointSet:
     Coordinate i of the point labelled k is (q_i*eps)^(1/a_i) * exp(2*pi*1j*k_i/a_i)
     with the principal root; the critical value is
     eps * sum_i c_i (q_i*eps)^(1/a_i) * w_i^(k_i) with c_i = -q_i*a_i/(a_i+1).
+    Each coordinate's a_i branch coordinates and value terms are computed once
+    and gathered at the label entries, with numpy operations over the whole set.
     """
     if not line.phi_tail.is_zero():
         raise ValueError("closed-form point set needs an empty tail; use track_to_phi")
@@ -262,14 +264,16 @@ def separable_critical_set(line: GenericLine, eps: complex) -> CriticalPointSet:
         for i in range(n)
     ]
     labels = tuple(itertools.product(*[range(ai) for ai in exps]))
-    coords = np.array([[branch_coord[i][k] for i, k in enumerate(label)] for label in labels], dtype=complex)
-    values = []
-    for label in labels:
-        value = 0j
-        for i, k in enumerate(label):
-            value += branch_value[i][k]
-        values.append(value)
-    result = CriticalPointSet(eps, labels, coords, np.array(values, dtype=complex))
+    # index[i][k] is entry i of labels[k]: np.indices runs in itertools.product order
+    index = np.indices(exps).reshape(n, -1)
+    coords = np.empty((len(labels), n), dtype=complex)
+    values = np.zeros(len(labels), dtype=complex)
+    for i in range(n):
+        coords[:, i] = np.array(branch_coord[i]).take(index[i])
+        # complex addition acts on each part alone, so adding to 0j branch by branch
+        # gives the bits of a Python loop over each label
+        values += np.array(branch_value[i]).take(index[i])
+    result = CriticalPointSet(eps, labels, coords, values)
     _validate_set(line, eps, result)
     return result
 
@@ -302,10 +306,18 @@ def _pairs(mu: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pairwise_distances(coords: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the points coords[..., k, :], one per pair of _pairs."""
+    """Euclidean distances between the points coords[..., k, :], one per pair of _pairs.
+
+    |c_i - c_j|^2 is summed one coordinate at a time, left to right: the bits of
+    numpy's last-axis sum up to 7 coordinates (from 8 on that sum is pairwise,
+    so a distance may differ in its last bit), at a fraction of its cost.
+    """
     rows, cols = _pairs(coords.shape[-2])
-    diff = coords.take(rows, axis=-2) - coords.take(cols, axis=-2)
-    return np.sqrt((np.abs(diff) ** 2).sum(axis=-1))
+    squares = np.abs(coords.take(rows, axis=-2) - coords.take(cols, axis=-2)) ** 2
+    total = squares[..., 0].copy()
+    for i in range(1, coords.shape[-1]):
+        total += squares[..., i]
+    return np.sqrt(total)
 
 
 def _validate_set(line: GenericLine, eps: complex, cps: CriticalPointSet) -> None:

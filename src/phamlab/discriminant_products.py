@@ -217,8 +217,10 @@ def _log_chunks(table: _IndexTable, values: np.ndarray) -> Iterator[tuple[int, n
     but for the sign of a zero, which no magnitude sees.
     """
     coefs = _TUPLES[table.kind][2]
-    # the zero threshold takes the built-in abs of each value, whose bits do not depend on numpy's SIMD loops
-    threshold = ZERO_COEF * max((abs(v) for v in values.tolist()), default=0.0)
+    # the zero threshold scales the largest |v|, from np.hypot: the built-in abs calls the
+    # same libm hypot, and every numpy loop of np.hypot does too, so its bits do not
+    # depend on the CPU
+    threshold = ZERO_COEF * float(np.hypot(values.real, values.imag).max(initial=0.0))
     forward = np.full(table.columns.shape[1], np.nan)
     width = min(_CHUNK, len(table.rows))  # no table has more forward rows than rows
     buffers = np.empty(width, complex), np.empty(width, complex), np.empty(width), np.empty(width, bool)

@@ -3,6 +3,11 @@
 The numeric substrate for the deformation pipeline: term-map polynomials with
 formal differentiation, batch evaluation, Hessian determinants, and a
 simultaneous-iteration univariate root finder.
+
+eval_batch evaluates with numpy arrays, for the tracker.  evaluate and
+hessian_det_at share one Python-complex term loop that runs each term over
+all points at once, so a sample's Hessian determinants cost a few list steps
+per term and point, not n*n evaluate calls and one det call per point.
 """
 
 from __future__ import annotations
@@ -111,14 +116,7 @@ class SparsePoly:
     def evaluate(self, z: Sequence[complex]) -> complex:
         if len(z) != self.n_vars:
             raise ValueError(f"point has {len(z)} coordinates, polynomial has {self.n_vars}")
-        total = 0j
-        for exp, coef in self.terms.items():
-            term = coef
-            for zi, e in zip(z, exp):
-                if e:
-                    term *= zi**e
-            total += term
-        return total
+        return _evaluate_columns(self, [[zi] for zi in z], 1)[0]
 
     def eval_batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at an (..., n_vars) array of complex points."""
@@ -153,17 +151,43 @@ class SparsePoly:
         return cls(n, terms)
 
 
+def _evaluate_columns(p: SparsePoly, columns: Sequence[Sequence[complex]], count: int) -> list[complex]:
+    """Values of p at ``count`` points, coordinate i of point k being columns[i][k].
+
+    Each point sees the Python-complex operations of a term loop: per term, coef
+    times z_i**e for each nonzero exponent e, added to 0j in term order.
+    """
+    totals = [0j] * count
+    for exp, coef in p.terms.items():
+        term = [coef] * count
+        for column, e in zip(columns, exp):
+            if e:
+                term = [t * zi**e for t, zi in zip(term, column)]
+        totals = [total + t for total, t in zip(totals, term)]
+    return totals
+
+
 def hessian_det_at(p: SparsePoly, points: Sequence[Sequence[complex]]) -> list[complex]:
-    """Determinant of the second-derivative matrix at each point; p is differentiated once."""
+    """Determinant of the second-derivative matrix at each point; p is differentiated once.
+
+    Each second derivative is evaluated at all points in one pass over Python
+    complex coordinates (an array of points is read as such too), with the
+    operations SparsePoly.evaluate applies to one point; a zero one is 0j with
+    no evaluation.  Two variables take m00*m11 - m01*m10 per point, and three
+    or more one np.linalg.det call on the (mu, n, n) stack, which factors each
+    matrix as it would alone.
+    """
     n = p.n_vars
+    count = len(points)
+    columns = np.asarray(points, dtype=complex).T.tolist()
     firsts = [p.diff(i) for i in range(n)]
-    seconds = [[firsts[i].diff(j) for j in range(n)] for i in range(n)]
-    matrices = [[[h.evaluate(z) for h in row] for row in seconds] for z in points]
+    entries = [[_evaluate_columns(first.diff(j), columns, count) for j in range(n)] for first in firsts]
     if n == 1:
-        return [m[0][0] for m in matrices]
+        return entries[0][0]
     if n == 2:
-        return [m[0][0] * m[1][1] - m[0][1] * m[1][0] for m in matrices]
-    return [complex(np.linalg.det(np.array(m, dtype=complex))) for m in matrices]
+        (m00, m01), (m10, m11) = entries
+        return [a * d - b * c for a, b, c, d in zip(m00, m01, m10, m11)]
+    return np.linalg.det(np.array(entries, dtype=complex).transpose(2, 0, 1)).tolist()
 
 
 def _horner_pair(coeffs: Sequence[complex], z: complex) -> tuple[complex, complex]:
