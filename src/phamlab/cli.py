@@ -162,7 +162,8 @@ def cmd_verify(args) -> int:
     exponents = ExponentVector(tuple(args.exponents))
     grid = EpsilonGrid(args.eps_start, args.eps_ratio, args.eps_count, args.phase)
     line = _build_line(args, exponents)
-    report = verify_all(exponents, preset=args.preset, grid=grid, mu_cap=args.mu_cap, line=line)
+    preset = None if args.phi_json else args.preset  # the JSON file's direction has no preset name
+    report = verify_all(exponents, preset=preset, grid=grid, mu_cap=args.mu_cap, line=line)
     if args.slopes_csv:
         with open(args.slopes_csv, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)

@@ -125,7 +125,8 @@ class GenericLine:
         return self.a.n
 
     def phi(self) -> SparsePoly:
-        return SparsePoly.linear(self.q) + self.phi_tail
+        unit = [(0,) * i + (1,) + (0,) * (self.n - 1 - i) for i in range(self.n)]
+        return SparsePoly(self.n, {**dict(zip(unit, self.q)), **self.phi_tail.terms})
 
     @cached_property
     def tail_derivatives(self) -> tuple[tuple[SparsePoly, ...], tuple[tuple[SparsePoly, ...], ...]]:
@@ -217,14 +218,17 @@ def jittered_line(line: GenericLine, seed: int) -> GenericLine:
 
 
 def line_function(line: GenericLine, eps: complex) -> SparsePoly:
-    """f - eps*phi as an explicit polynomial (normalized Pham head)."""
+    """f - eps*phi as an explicit polynomial (normalized Pham head).
+
+    The head exponents a_i + 1 lie outside the versal box, so one term map
+    holds the head and the terms of phi without merging any.
+    """
     n = line.n
-    head = {}
-    for i, ai in enumerate(line.a):
-        exp = [0] * n
-        exp[i] = ai + 1
-        head[tuple(exp)] = 1.0 / (ai + 1)
-    return SparsePoly(n, head) + line.phi().scale(-eps)
+    terms = {(0,) * i + (ai + 1,) + (0,) * (n - 1 - i): 1.0 / (ai + 1) for i, ai in enumerate(line.a)}
+    factor = complex(-eps)
+    for exp, coef in line.phi().terms.items():
+        terms[exp] = coef * factor
+    return SparsePoly(n, terms)
 
 
 def _check_eps(eps: complex) -> complex:
@@ -326,15 +330,21 @@ def _validate_set(line: GenericLine, eps: complex, cps: CriticalPointSet) -> Non
         raise TrackerError("label set is not an exhaustive enumeration")
     if cps.coords.shape != (mu, line.n) or cps.values.shape != (mu,):
         raise TrackerError(f"point arrays of shapes {cps.coords.shape} and {cps.values.shape} at mu = {mu}")
+    for name, array in (("coordinate", cps.coords), ("value", cps.values)):
+        finite = np.isfinite(array)
+        if not finite.all():
+            k = int(np.argmin(finite.reshape(mu, -1).all(axis=1)))
+            raise TrackerError(f"non-finite critical {name} at label {cps.labels[k]}")
     residual_bound = GRADIENT_RESIDUAL_COEF * max(1.0, abs(eps))
     grads, _ = line.tail_derivatives
     g = _gradient(cps.coords, np.array(line.a.a), eps * np.array(line.q)[None, :], eps, grads)
     worst = float(np.sqrt((np.abs(g) ** 2).sum(axis=1)).max())
-    if worst > residual_bound:
+    # written so that a NaN fails each bound
+    if not worst <= residual_bound:
         raise TrackerError(f"gradient residual {worst:.3e} exceeds {residual_bound:.3e}")
     if mu > 1:
         min_dist = float(_pairwise_distances(cps.coords).min())
-        if min_dist < DISTINCTNESS_FACTOR * residual_bound:
+        if not min_dist >= DISTINCTNESS_FACTOR * residual_bound:
             raise TrackerError(f"points not distinct: min distance {min_dist:.3e}")
 
 

@@ -305,23 +305,24 @@ def classify_factors(
 
 
 def _omega_histogram_two_vars(p: int, q: int) -> dict[Fraction, int]:
-    # quad factors keyed by which branch multisets separate the two pairs
-    labels = list(itertools.product(range(p), range(q)))
-    pairs = list(itertools.combinations(labels, 2))
+    """Quad factors of two variables by exponent, counted in closed form.
+
+    A factor of the ordered pairs {u, v}, {w, x} of distinct points has exponent
+    1 + 1/p when the two pairs differ in their multisets of x branches, else
+    1 + 1/q when they differ in their y branches, else 1 + 1/p + 1/q.
+    """
+    # equal x multisets: all four points in one x branch, or each pair across the same two
+    x_same = p * binom22(q) + math.comb(p, 2) * (q * (q - 1)) ** 2
+    # of those across two x branches, the ones whose y multisets are equal too
+    both = 2 * math.comb(p, 2) * math.comb(q, 2)
     counts: dict[Fraction, int] = {}
-    for p1 in pairs:
-        for p2 in pairs:
-            if p1 == p2 or set(p1) & set(p2):
-                continue
-            x_same = sorted(l[0] for l in p1) == sorted(l[0] for l in p2)
-            y_same = sorted(l[1] for l in p1) == sorted(l[1] for l in p2)
-            if not x_same:
-                e = 1 + Fraction(1, p)
-            elif not y_same:
-                e = 1 + Fraction(1, q)
-            else:
-                e = 1 + Fraction(1, p) + Fraction(1, q)
-            counts[e] = counts.get(e, 0) + 1
+    for exponent, count in (
+        (1 + Fraction(1, p), binom22(p * q) - x_same),
+        (1 + Fraction(1, q), x_same - both),
+        (1 + Fraction(1, p) + Fraction(1, q), both),
+    ):
+        if count:
+            counts[exponent] = counts.get(exponent, 0) + count
     return dict(sorted(counts.items()))
 
 
@@ -443,7 +444,7 @@ class ReportRow:
 @dataclass(frozen=True)
 class MultiplicityReport:
     exponents: tuple[int, ...]
-    preset: str
+    preset: Optional[str]  # None when the caller's line comes from no preset
     grid: EpsilonGrid
     rows: tuple[ReportRow, ...]
     estimates: dict = field(compare=False, repr=False, default_factory=dict)
@@ -485,7 +486,7 @@ def _estimate_row(quantity: str, closed_form: int, est: DegreeEstimate) -> Repor
 
 def verify_all(
     a: ExponentsLike,
-    preset: str = "linear",
+    preset: Optional[str] = "linear",
     grid: EpsilonGrid = EpsilonGrid(),
     mu_cap: int = DEFAULT_MU_CAP,
     line: Optional[GenericLine] = None,

@@ -366,7 +366,7 @@ def log_hessian_product(
     f_eps: SparsePoly, points: CriticalPointSet, table: Optional[_IndexTable] = None
 ) -> LogProduct:
     """Product over the critical points of |det Hess(f - eps*phi)|."""
-    return _product(Kind.HESSIAN, hessian_det_at(f_eps, points.coords.tolist()), points.labels, table)
+    return _product(Kind.HESSIAN, hessian_det_at(f_eps, points.coords), points.labels, table)
 
 
 def products_at(

@@ -4,6 +4,9 @@ The numeric substrate for the deformation pipeline: term-map polynomials with
 formal differentiation, batch evaluation, Hessian determinants, and a
 simultaneous-iteration univariate root finder.
 
+The SparsePoly constructor checks a term map once, where it comes in; diff
+derives a polynomial from checked terms without checking them again.
+
 eval_batch evaluates with numpy arrays, for the tracker.  evaluate and
 hessian_det_at share one Python-complex term loop that runs each term over
 all points at once, so a sample's Hessian determinants cost a few list steps
@@ -66,16 +69,6 @@ class SparsePoly:
     def zero(cls, n_vars: int) -> "SparsePoly":
         return cls(n_vars, {})
 
-    @classmethod
-    def linear(cls, coeffs: Sequence[complex]) -> "SparsePoly":
-        n = len(coeffs)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            exp = [0] * n
-            exp[i] = 1
-            terms[tuple(exp)] = c
-        return cls(n, terms)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -93,25 +86,18 @@ class SparsePoly:
         body = " + ".join(f"{c!r}*z^{e}" for e, c in self.terms.items()) or "0"
         return f"SparsePoly({self.n_vars}, {body})"
 
-    def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        if self.n_vars != other.n_vars:
-            raise ValueError("variable-count mismatch")
-        merged = dict(self.terms)
-        for exp, coef in other.terms.items():
-            merged[exp] = merged.get(exp, 0j) + coef
-        return SparsePoly(self.n_vars, merged)
-
-    def scale(self, factor: complex) -> "SparsePoly":
-        return SparsePoly(self.n_vars, {e: c * complex(factor) for e, c in self.terms.items()})
-
     def diff(self, var: int) -> "SparsePoly":
-        out: dict[Exponent, complex] = {}
-        for exp, coef in self.terms.items():
-            e = exp[var]
-            if e:
-                key = exp[:var] + (e - 1,) + exp[var + 1:]
-                out[key] = out.get(key, 0j) + coef * e
-        return SparsePoly(self.n_vars, out)
+        # the constructor's checks cannot fail here: lowering one exponent keeps the terms
+        # distinct and ascending, and coef * e of a nonzero coef is nonzero; adding to 0j
+        # turns a -0.0 part into 0.0 as the constructor does
+        out = object.__new__(SparsePoly)
+        out.n_vars = self.n_vars
+        out.terms = {
+            exp[:var] + (exp[var] - 1,) + exp[var + 1:]: 0j + coef * exp[var]
+            for exp, coef in self.terms.items()
+            if exp[var]
+        }
+        return out
 
     def evaluate(self, z: Sequence[complex]) -> complex:
         if len(z) != self.n_vars:

@@ -192,6 +192,15 @@ class TestPhiJson:
         assert code == 0
         assert out.count("Match") == 5
 
+    def test_json_report_names_no_preset(self, capsys, tmp_path):
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps({"vars": 2, "terms": [{"exp": [1, 0], "re": 1.0}, {"exp": [0, 1], "re": 0.3}]}))
+        code, out, _ = run(capsys, "verify", "3", "2", "--phi-json", str(path), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["preset"] is None
+        code, out, _ = run(capsys, "verify", "3", "2", "--format", "json")
+        assert json.loads(out)["preset"] == "linear"
+
     @pytest.mark.parametrize(
         "coupling, message",
         [

@@ -204,6 +204,26 @@ class TestPointArrays:
         with pytest.raises(TrackerError, match="not an exhaustive enumeration"):
             critical_tracker._validate_set(line, EPS, repeated)
 
+    @pytest.mark.parametrize("preset", ["linear", "xy_coupled"])
+    def test_validator_rejects_non_finite_points(self, preset):
+        line = default_line((3, 3), preset)
+        cps = critical_set(line, EPS)
+        for field, k in (("coordinate", 4), ("value", 7)):
+            coords, values = cps.coords.copy(), cps.values.copy()
+            if field == "coordinate":
+                coords[k, 1] = complex(math.nan, 0.0)
+            else:
+                values[k] = complex(0.0, math.inf)
+            broken = CriticalPointSet(cps.epsilon, cps.labels, coords, values)
+            label = re.escape(str(cps.labels[k]))
+            with pytest.raises(TrackerError, match=f"non-finite critical {field} at label {label}"):
+                critical_tracker._validate_set(line, EPS, broken)
+        # a NaN in both arrays, as one NaN coordinate and its value would read
+        coords, values = cps.coords.copy(), cps.values.copy()
+        coords[0, 0] = values[0] = complex(math.nan, math.nan)
+        with pytest.raises(TrackerError, match=r"non-finite critical coordinate at label \(0, 0\)"):
+            critical_tracker._validate_set(line, EPS, CriticalPointSet(cps.epsilon, cps.labels, coords, values))
+
 
 class TestTracking:
     def test_empty_tail_short_circuits(self):

@@ -1,5 +1,6 @@
 """Degree estimation, factor classification, cluster scaling, verdict table."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from phamlab import degree_lab
-from phamlab.closed_forms import binom12, mixed_depth_counts
+from phamlab.closed_forms import binom12, mixed_depth_counts, pure_stokes_multiplicity
 from phamlab.critical_tracker import GenericLine, TrackedBatch, default_line, jittered_line
 from phamlab.degree_lab import (
     ClusterReport,
@@ -173,6 +174,38 @@ class TestExpectedHistograms:
 
     def test_omega_unknown_parity(self):
         assert expected_factor_histogram((4, 3), Kind.OMEGA_QUAD, "xy_coupled") is None
+
+    @staticmethod
+    def _omega_walk(p, q):
+        """Every ordered pair of disjoint point pairs, keyed by which branch multisets differ."""
+        labels = list(itertools.product(range(p), range(q)))
+        pairs = list(itertools.combinations(labels, 2))
+        counts = {}
+        for p1 in pairs:
+            for p2 in pairs:
+                if p1 == p2 or set(p1) & set(p2):
+                    continue
+                x_same = sorted(l[0] for l in p1) == sorted(l[0] for l in p2)
+                y_same = sorted(l[1] for l in p1) == sorted(l[1] for l in p2)
+                if not x_same:
+                    e = 1 + Fraction(1, p)
+                elif not y_same:
+                    e = 1 + Fraction(1, q)
+                else:
+                    e = 1 + Fraction(1, p) + Fraction(1, q)
+                counts[e] = counts.get(e, 0) + 1
+        return dict(sorted(counts.items()))
+
+    @pytest.mark.parametrize("p, q", list(itertools.product(range(1, 6), repeat=2)))
+    def test_omega_two_vars_counts_the_walk(self, p, q):
+        got = degree_lab._omega_histogram_two_vars(p, q)
+        want = self._omega_walk(p, q)
+        assert got == want and list(got) == list(want)
+
+    @pytest.mark.parametrize("p, q", [(p, q) for p in range(1, 16, 2) for q in range(1, p + 1, 2)])
+    def test_omega_two_odd_degree_is_twice_pure_stokes(self, p, q):
+        hist = expected_factor_histogram((p, q), Kind.OMEGA_QUAD, "xy_coupled")
+        assert sum(e * c for e, c in hist.items()) == 2 * pure_stokes_multiplicity((p, q))
 
 
 class TestUnequalOddPair:

@@ -2,13 +2,15 @@
 
 Each is checked byte for byte against a per-point reference kept here: the
 one-determinant-per-point Hessian, the per-label closed-form loop and the
-built-in-abs zero threshold.  These pin the contract, so they hold for the
-per-point code as well.
+built-in-abs zero threshold.  f - eps*phi, phi and derivatives are checked
+against a chain of validated constructions (linear part, sum, scaling,
+derivative).  These pin the contract, so they hold for the per-point code as well.
 """
 
 import cmath
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -47,11 +49,44 @@ def _reference_evaluate(p, z):
     return total
 
 
+def _reference_add(p, r):
+    merged = dict(p.terms)
+    for exp, coef in r.terms.items():
+        merged[exp] = merged.get(exp, 0j) + coef
+    return SparsePoly(p.n_vars, merged)
+
+
+def _reference_diff(p, var):
+    """The derivative's term map, passed through the validating constructor."""
+    out = {}
+    for exp, coef in p.terms.items():
+        e = exp[var]
+        if e:
+            key = exp[:var] + (e - 1,) + exp[var + 1 :]
+            out[key] = out.get(key, 0j) + coef * e
+    return SparsePoly(p.n_vars, out)
+
+
+def _reference_phi(line):
+    """The unit-vector linear part q_1 z_1 + ... + q_n z_n, plus the tail."""
+    n = line.n
+    linear = {tuple(int(i == k) for i in range(n)): qk for k, qk in enumerate(line.q)}
+    return _reference_add(SparsePoly(n, linear), line.phi_tail)
+
+
+def _reference_line_function(line, eps):
+    """The Pham head plus phi scaled by -eps, each a polynomial of its own."""
+    n = line.n
+    head = {tuple(ai + 1 if i == k else 0 for i in range(n)): 1.0 / (ai + 1) for k, ai in enumerate(line.a)}
+    scaled = SparsePoly(n, {e: c * complex(-eps) for e, c in _reference_phi(line).terms.items()})
+    return _reference_add(SparsePoly(n, head), scaled)
+
+
 def _reference_hessian_det_at(p, points):
     """One evaluation per entry and one np.linalg.det call per point."""
     n = p.n_vars
-    firsts = [p.diff(i) for i in range(n)]
-    seconds = [[firsts[i].diff(j) for j in range(n)] for i in range(n)]
+    firsts = [_reference_diff(p, i) for i in range(n)]
+    seconds = [[_reference_diff(firsts[i], j) for j in range(n)] for i in range(n)]
     matrices = [[[_reference_evaluate(h, z) for h in row] for row in seconds] for z in points]
     if n == 1:
         return [m[0][0] for m in matrices]
@@ -104,6 +139,12 @@ def _bits(cps):
 
 def _float_bits(x):
     return np.float64(x).tobytes()
+
+
+def _term_bits(p):
+    """Variable count, then exponent and packed coefficient of each term in stored order."""
+    assert all(type(c) is complex for c in p.terms.values())
+    return p.n_vars, [(exp, struct.pack("<dd", c.real, c.imag)) for exp, c in p.terms.items()]
 
 
 def _dets_bits(dets):
@@ -178,6 +219,55 @@ class TestHessianAgainstPerPoint:
         p = SparsePoly(3, {(2, 1, 0): 1.5 - 0.5j, (0, 3, 1): 2.0, (1, 0, 0): -1j, (0, 0, 0): 0.25})
         for z in (rng.standard_normal((20, 3)) + 1j * rng.standard_normal((20, 3))).tolist():
             assert np.array([p.evaluate(z)]).tobytes() == np.array([_reference_evaluate(p, z)]).tobytes()
+
+
+class TestPolynomialsAgainstConstructionChain:
+    @pytest.mark.parametrize("name, line", LINES, ids=LINE_IDS)
+    def test_line_function_and_phi_are_the_chain_bits(self, name, line):
+        assert _term_bits(line.phi()) == _term_bits(_reference_phi(line))
+        for eps in GRID.samples() + [0.004, -0.002j, -1e-3, complex(1e-3, -0.0), 1e-300j]:
+            f_eps = line_function(line, eps)
+            assert _term_bits(f_eps) == _term_bits(_reference_line_function(line, eps))
+            for i in range(line.n):
+                first = f_eps.diff(i)
+                assert _term_bits(first) == _term_bits(_reference_diff(f_eps, i))
+                for j in range(line.n):
+                    assert _term_bits(first.diff(j)) == _term_bits(_reference_diff(first, j))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_derivatives_are_the_chain_bits(self, n):
+        rng = np.random.default_rng(20 + n)
+        special = [0.0, -0.0, 1.5, -2.25, 1e-300, -1e300]  # signed zeros give pure (imaginary) parts
+
+        def part():
+            k = int(rng.integers(0, 9))
+            return special[k] if k < len(special) else float(rng.standard_normal())
+
+        for _ in range(200):
+            terms = {}
+            for _ in range(int(rng.integers(1, 8))):
+                exp = tuple(int(e) for e in rng.integers(0, 4, size=n))
+                terms[exp] = complex(part(), part())
+            p = SparsePoly(n, terms)
+            for i in range(n):
+                first = p.diff(i)
+                assert _term_bits(first) == _term_bits(_reference_diff(p, i))
+                for j in range(n):
+                    assert _term_bits(first.diff(j)) == _term_bits(_reference_diff(first, j))
+
+    def test_one_hessian_sample_builds_two_polynomials(self, monkeypatch):
+        line = default_line((3, 3, 3, 2))
+        cps = separable_critical_set(line, GRID.samples()[0])
+        built = []
+        init = SparsePoly.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SparsePoly, "__init__", counting)
+        products_at(line, cps, [Kind.HESSIAN])
+        assert len(built) <= 2
 
 
 class TestSeparableAgainstPerLabel:
