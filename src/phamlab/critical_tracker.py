@@ -124,7 +124,9 @@ class GenericLine:
     def n(self) -> int:
         return self.a.n
 
+    @cached_property
     def phi(self) -> SparsePoly:
+        """q_1 z_1 + ... + q_n z_n + tail, built and checked once per line."""
         unit = [(0,) * i + (1,) + (0,) * (self.n - 1 - i) for i in range(self.n)]
         return SparsePoly(self.n, {**dict(zip(unit, self.q)), **self.phi_tail.terms})
 
@@ -226,7 +228,7 @@ def line_function(line: GenericLine, eps: complex) -> SparsePoly:
     n = line.n
     terms = {(0,) * i + (ai + 1,) + (0,) * (n - 1 - i): 1.0 / (ai + 1) for i, ai in enumerate(line.a)}
     factor = complex(-eps)
-    for exp, coef in line.phi().terms.items():
+    for exp, coef in line.phi.terms.items():
         terms[exp] = coef * factor
     return SparsePoly(n, terms)
 

@@ -91,6 +91,8 @@ class EpsilonGrid:
             raise ValueError("start magnitude must lie in (0, 1e-2]")
         if self.count < 4:
             raise ValueError("need at least 4 samples")
+        if not self.start * self.ratio ** (self.count - 1) > 0:
+            raise ValueError(f"{self.count} samples take |eps| below the smallest float")
         _ray(self.phase)  # rejects a non-finite phase
 
     def magnitudes(self) -> list[float]:

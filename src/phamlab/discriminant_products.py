@@ -16,8 +16,8 @@ All four products share one kernel: each factor is sum_k c_k * v[idx_k] with
 the coefficient row (1, -1), (2, -1, -1), (1, 1, -1, -1) or, over the Hessian
 determinants, (1,), over index rows in fixed lexicographic tuple order, which
 keeps traces byte-for-byte reproducible.  The index table depends only on
-(kind, mu), so evaluate_trace builds each kind's once and every sample shares
-it read-only:
+(kind, mu).  The len(Kind) most recently used tables are kept, which covers
+every table of one trace, so its samples share each read-only:
 - rows: every tuple, in the smallest integer dtype that holds mu - 1;
 - columns: the forward rows, one per configuration, transposed, in that same
   dtype, widened to intp one chunk at a time (numpy gathers fastest with it);
@@ -61,7 +61,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -121,10 +121,9 @@ _CHUNK = 1 << 12  # rows per kernel pass and per index-table block
 
 @dataclass(frozen=True, eq=False)
 class _IndexTable:
-    """The index rows of one kind over mu points, shared by every sample of a trace."""
+    """The index rows of one kind over mu points, shared by every product of that kind and mu."""
 
     kind: Kind
-    mu: int
     rows: np.ndarray
     columns: np.ndarray
     source: Optional[np.ndarray]
@@ -203,7 +202,12 @@ def _index_table(kind: Kind, mu: int) -> _IndexTable:
         source[_group_rank(b, mu) * partners + _group_rank(a, free)] = ranks
     if mirrored:
         _read_only(source)
-    return _IndexTable(kind, mu, _read_only(rows), _read_only(columns), source)
+    return _IndexTable(kind, _read_only(rows), _read_only(columns), source)
+
+
+# one trace asks for at most one table per kind, all at its mu, so every sample shares
+# them; holding more would keep tables of earlier mu alive for nothing
+_table = lru_cache(maxsize=len(Kind))(_index_table)
 
 
 def _log_chunks(table: _IndexTable, values: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
@@ -313,18 +317,11 @@ def factor_count(kind: Kind, mu: int) -> int:
     return mu
 
 
-def _product(
-    kind: Kind, values: Sequence[complex], labels: Optional[Sequence], table: Optional[_IndexTable]
-) -> LogProduct:
+def _product(kind: Kind, values: Sequence[complex], labels: Optional[Sequence]) -> LogProduct:
     """Fold the kernel's chunks into the total and the first zero, in row order."""
     v = np.asarray(values, dtype=complex)
     mu = len(v)
-    if table is None:
-        table = _index_table(kind, mu)
-    elif (table.kind, table.mu) != (kind, mu):
-        raise ValueError(
-            f"index table of {table.kind.value} at mu={table.mu} used for {kind.value} at mu={mu}"
-        )
+    table = _table(kind, mu)
     total, first_zero = 0.0, None
     zeros = np.empty(min(_CHUNK, len(table.rows)), bool)
     for start, logs in _log_chunks(table, v):
@@ -341,53 +338,38 @@ def _product(
     return LogProduct(total, first_zero, table, v, tuple(range(mu) if labels is None else labels))
 
 
-def log_D(
-    values: Sequence[complex], labels: Optional[Sequence] = None, table: Optional[_IndexTable] = None
-) -> LogProduct:
+def log_D(values: Sequence[complex], labels: Optional[Sequence] = None) -> LogProduct:
     """Product over ordered pairs i != j of v_i - v_j."""
-    return _product(Kind.D_PAIR, values, labels, table)
+    return _product(Kind.D_PAIR, values, labels)
 
 
-def log_Y(
-    values: Sequence[complex], labels: Optional[Sequence] = None, table: Optional[_IndexTable] = None
-) -> LogProduct:
+def log_Y(values: Sequence[complex], labels: Optional[Sequence] = None) -> LogProduct:
     """Product over triples (distinguished v_1, unordered v_2, v_3) of 2*v_1 - v_2 - v_3."""
-    return _product(Kind.Y_TRIPLE, values, labels, table)
+    return _product(Kind.Y_TRIPLE, values, labels)
 
 
-def log_Omega(
-    values: Sequence[complex], labels: Optional[Sequence] = None, table: Optional[_IndexTable] = None
-) -> LogProduct:
+def log_Omega(values: Sequence[complex], labels: Optional[Sequence] = None) -> LogProduct:
     """Product over ordered pairs of disjoint unordered pairs of v1+v2-v3-v4."""
-    return _product(Kind.OMEGA_QUAD, values, labels, table)
+    return _product(Kind.OMEGA_QUAD, values, labels)
 
 
-def log_hessian_product(
-    f_eps: SparsePoly, points: CriticalPointSet, table: Optional[_IndexTable] = None
-) -> LogProduct:
+def log_hessian_product(f_eps: SparsePoly, points: CriticalPointSet) -> LogProduct:
     """Product over the critical points of |det Hess(f - eps*phi)|."""
-    return _product(Kind.HESSIAN, hessian_det_at(f_eps, points.coords), points.labels, table)
+    return _product(Kind.HESSIAN, hessian_det_at(f_eps, points.coords), points.labels)
 
 
-def products_at(
-    line: GenericLine, points: CriticalPointSet, kinds: Sequence[Kind], tables: Optional[dict] = None
-) -> dict[Kind, LogProduct]:
-    """Evaluate the requested products over ``points``, the critical set of line at points.epsilon.
-
-    ``tables`` maps a kind to its index table for this mu, as evaluate_trace
-    builds them; a kind without one builds its own.
-    """
-    tables = tables or {}
+def products_at(line: GenericLine, points: CriticalPointSet, kinds: Sequence[Kind]) -> dict[Kind, LogProduct]:
+    """Evaluate the requested products over ``points``, the critical set of line at points.epsilon."""
     out: dict[Kind, LogProduct] = {}
     for kind in kinds:
         if kind is Kind.D_PAIR:
-            out[kind] = log_D(points.values, points.labels, tables.get(kind))
+            out[kind] = log_D(points.values, points.labels)
         elif kind is Kind.Y_TRIPLE:
-            out[kind] = log_Y(points.values, points.labels, tables.get(kind))
+            out[kind] = log_Y(points.values, points.labels)
         elif kind is Kind.OMEGA_QUAD:
-            out[kind] = log_Omega(points.values, points.labels, tables.get(kind))
+            out[kind] = log_Omega(points.values, points.labels)
         elif kind is Kind.HESSIAN:
-            out[kind] = log_hessian_product(line_function(line, points.epsilon), points, tables.get(kind))
+            out[kind] = log_hessian_product(line_function(line, points.epsilon), points)
         else:
             raise ValueError(f"unknown product kind {kind}")
         expected = factor_count(kind, line.a.mu)
@@ -426,13 +408,9 @@ def evaluate_trace(
 ) -> LogProductTrace:
     """Products at every sample; the critical sets of all samples are tracked together.
 
-    Each kind's index table is built once and serves every sample.
     Raises the error of the first sample, in the given order, whose set fails.
     """
     kinds = list(kinds)
-    tables = {kind: _index_table(kind, line.a.mu) for kind in kinds}
     batch = TrackedBatch(line, eps_samples)
-    samples = tuple(
-        products_at(line, critical_set(line, eps, batch), kinds, tables) for eps in eps_samples
-    )
+    samples = tuple(products_at(line, critical_set(line, eps, batch), kinds) for eps in eps_samples)
     return LogProductTrace(tuple(eps_samples), samples)

@@ -120,12 +120,15 @@ class SparsePoly:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SparsePoly":
-        """Read {"vars": n, "terms": [{"exp": [...], "re": x, "im": y}, ...]}: each exponent once, finite."""
+        """Read {"vars": n, "terms": [{"exp": [...], "re": x, "im": y}, ...]}.
+
+        n and the exponents are JSON integers; each exponent is listed once, each coefficient finite.
+        """
         try:
-            n = int(data["vars"])
+            n = _json_int(data["vars"], "variable count")
             terms = {}
             for item in data["terms"]:
-                exp = tuple(int(e) for e in item["exp"])
+                exp = tuple(_json_int(e, "exponent entry") for e in item["exp"])
                 coef = complex(float(item["re"]), float(item.get("im", 0.0)))
                 if exp in terms:
                     raise ValueError(f"exponent {exp} is listed twice in the polynomial literal")
@@ -135,6 +138,13 @@ class SparsePoly:
         except (KeyError, TypeError) as err:
             raise ValueError(f"malformed polynomial literal: {err}") from err
         return cls(n, terms)
+
+
+def _json_int(value, what: str) -> int:
+    """A JSON integer as is; int() would truncate 1.7 to 1 and read true as 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
 
 
 def _evaluate_columns(p: SparsePoly, columns: Sequence[Sequence[complex]], count: int) -> list[complex]:

@@ -236,7 +236,7 @@ def test_criterion_8_property_suites():
         for mag in (1e-2, 1e-4):
             eps = mag * cmath.exp(0.37j)
             cps = critical_set(line, eps)
-            grads = [line.phi().diff(i) for i in range(line.n)]
+            grads = [line.phi.diff(i) for i in range(line.n)]
             for coords in cps.coords:
                 parts = [
                     coords[i] ** line.a.a[i] - eps * grads[i].evaluate(coords)

@@ -102,6 +102,13 @@ class TestVerify:
         assert rows[0] == ["kind", "eps_magnitude", "log_total", "slope"]
         assert len(rows) == 1 + 4 * 7  # four kinds, seven samples each
 
+    def test_grid_that_underflows_is_a_usage_error(self, capsys):
+        # from 645 samples on, the default grid's last |eps| rounds to 0.0
+        code, out, err = run(capsys, "verify", "3", "--eps-count", "645")
+        assert code == 2
+        assert out == ""
+        assert err == "error: 645 samples take |eps| below the smallest float\n"
+
 
 class TestCluster:
     def test_two_rows(self, capsys):
@@ -216,6 +223,25 @@ class TestPhiJson:
         path = tmp_path / "phi.json"
         path.write_text(json.dumps({"vars": 2, "terms": terms}))
         code, out, err = run(capsys, "verify", "5", "3", "--phi-json", str(path))
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "vars_, exp, message",
+        [
+            (2, [1.7, 1], "exponent entry 1.7 is not an integer"),
+            (2, [1.0, 1], "exponent entry 1.0 is not an integer"),
+            (2, [True, 1], "exponent entry True is not an integer"),
+            (2.9, [1, 1], "variable count 2.9 is not an integer"),
+        ],
+    )
+    def test_non_integer_exponent_is_a_usage_error(self, capsys, tmp_path, vars_, exp, message):
+        # int() read [1.7, 1] as x*y and "vars": 2.9 as 2, and verify ran on that
+        terms = [{"exp": [1, 0], "re": 1.0}, {"exp": [0, 1], "re": 0.3}, {"exp": exp, "re": 0.1}]
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps({"vars": vars_, "terms": terms}))
+        code, out, err = run(capsys, "verify", "3", "2", "--phi-json", str(path))
         assert code == 2
         assert out == ""
         assert message in err

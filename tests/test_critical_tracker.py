@@ -53,7 +53,7 @@ def by_label(cps):
 
 def residuals(line, cps):
     out = []
-    grads = [line.phi().diff(i) for i in range(line.n)]
+    grads = [line.phi.diff(i) for i in range(line.n)]
     for coords in cps.coords:
         parts = []
         for i, ai in enumerate(line.a):

@@ -48,6 +48,13 @@ class TestEpsilonGrid:
             with pytest.raises(ValueError, match="ray phase must be finite"):
                 EpsilonGrid(phase=phase)
 
+    def test_grid_that_underflows_to_zero_is_rejected(self):
+        assert EpsilonGrid(count=644).magnitudes()[-1] == 5e-324
+        # rejected before any magnitude is listed: a list of 10**9 would come first
+        for count in (645, 10**9):
+            with pytest.raises(ValueError, match=f"^{count} samples take"):
+                EpsilonGrid(count=count)
+
 
 class TestEstimateDegree:
     def test_pair_degree_cubic(self):
@@ -247,7 +254,7 @@ class TestHistogramTotal:
                 Kind.D_PAIR: LogProduct(
                     log,
                     None,
-                    _IndexTable(Kind.D_PAIR, 2, np.array([[0, 1]]), np.array([[0], [1]]), None),
+                    _IndexTable(Kind.D_PAIR, np.array([[0, 1]]), np.array([[0], [1]]), None),
                     np.array([math.exp(log), 0j]),
                     (0, 1),
                 )

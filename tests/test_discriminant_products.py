@@ -289,13 +289,6 @@ class TestKernelAgainstReference:
         report = verify_all((3, 3), "xy_coupled")
         assert report.all_match
 
-    def test_table_mismatch_raises(self):
-        table = discriminant_products._index_table(Kind.D_PAIR, 4)
-        with pytest.raises(ValueError, match="index table of D_pair at mu=4 used for Y_triple"):
-            log_Y([0j, 1 + 0j, 3 + 0j, 7 + 0j], table=table)
-        with pytest.raises(ValueError, match="at mu=4 used for D_pair at mu=3"):
-            log_D([0j, 1 + 0j, 3 + 0j], table=table)
-
     def test_degenerate_hint_builds_one_record(self, monkeypatch):
         def refuse(self):
             raise AssertionError("the hint must not build every factor record")
@@ -307,26 +300,23 @@ class TestKernelAgainstReference:
 
 
 class TestIndexTables:
-    def test_trace_builds_each_table_once_and_shares_its_rows(self, monkeypatch):
-        built = []
-
-        def counted(kind, mu):
-            built.append((kind, mu))
-            return index_table(kind, mu)
-
-        index_table = discriminant_products._index_table
-        monkeypatch.setattr(discriminant_products, "_index_table", counted)
+    def test_trace_builds_each_table_once_and_shares_its_rows(self):
+        memo = discriminant_products._table
+        memo.cache_clear()
         line = default_line((7, 5))
         trace = evaluate_trace(line, EpsilonGrid().samples(), list(Kind))
         assert len(trace.samples) == 7
-        # the Hessian's identity table too: one per trace, not one per sample
-        assert built == [(kind, 35) for kind in Kind]
-        for kind in Kind:
-            rows = trace.samples[0][kind].rows
-            assert all(s[kind].rows is rows for s in trace.samples)
-            assert not rows.flags.writeable
-            assert rows.dtype == np.uint8
-            assert len(rows) == factor_count(kind, 35)
+        # the Hessian's identity table too: one per (kind, mu), not one per sample
+        assert memo.cache_info().misses == len(Kind)
+        tables = {kind: trace.samples[0][kind].table for kind in Kind}
+        for kind, table in tables.items():
+            assert all(s[kind].table is table for s in trace.samples)
+            assert not table.rows.flags.writeable
+            assert table.rows.dtype == np.uint8
+            assert len(table.rows) == factor_count(kind, 35)
+        again = evaluate_trace(line, EpsilonGrid().samples(), list(Kind))
+        assert memo.cache_info().misses == len(Kind)
+        assert all(s[kind].table is tables[kind] for s in again.samples for kind in Kind)
 
     def test_rows_widen_past_uint8(self):
         values = [complex(k, k * k % 7) for k in range(257)]
@@ -483,8 +473,11 @@ class TestChunkBoundaries:
 
     @pytest.fixture(params=[1, 2, 7])
     def chunk(self, request, monkeypatch):
+        # tables are built in blocks of _CHUNK rows: every chunk size builds its own
+        discriminant_products._table.cache_clear()
         monkeypatch.setattr(discriminant_products, "_CHUNK", request.param)
-        return request.param
+        yield request.param
+        discriminant_products._table.cache_clear()
 
     @pytest.mark.parametrize(
         "mu, plant", [(mu, plant) for mu in range(1, 9) for plant in PLANTS if mu >= PLANTS[plant]]

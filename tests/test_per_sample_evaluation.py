@@ -27,7 +27,7 @@ from phamlab.critical_tracker import (
     separable_critical_set,
 )
 from phamlab.degree_lab import EpsilonGrid, verify_all
-from phamlab.discriminant_products import ZERO_COEF, Kind, products_at
+from phamlab.discriminant_products import ZERO_COEF, Kind, evaluate_trace, products_at
 from phamlab.polyalg import SparsePoly, hessian_det_at
 
 GRID = EpsilonGrid()
@@ -224,7 +224,7 @@ class TestHessianAgainstPerPoint:
 class TestPolynomialsAgainstConstructionChain:
     @pytest.mark.parametrize("name, line", LINES, ids=LINE_IDS)
     def test_line_function_and_phi_are_the_chain_bits(self, name, line):
-        assert _term_bits(line.phi()) == _term_bits(_reference_phi(line))
+        assert _term_bits(line.phi) == _term_bits(_reference_phi(line))
         for eps in GRID.samples() + [0.004, -0.002j, -1e-3, complex(1e-3, -0.0), 1e-300j]:
             f_eps = line_function(line, eps)
             assert _term_bits(f_eps) == _term_bits(_reference_line_function(line, eps))
@@ -255,9 +255,8 @@ class TestPolynomialsAgainstConstructionChain:
                 for j in range(n):
                     assert _term_bits(first.diff(j)) == _term_bits(_reference_diff(first, j))
 
-    def test_one_hessian_sample_builds_two_polynomials(self, monkeypatch):
-        line = default_line((3, 3, 3, 2))
-        cps = separable_critical_set(line, GRID.samples()[0])
+    @staticmethod
+    def _checked_constructions(monkeypatch, call):
         built = []
         init = SparsePoly.__init__
 
@@ -266,8 +265,19 @@ class TestPolynomialsAgainstConstructionChain:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(SparsePoly, "__init__", counting)
-        products_at(line, cps, [Kind.HESSIAN])
-        assert len(built) <= 2
+        call()
+        return len(built)
+
+    def test_one_hessian_sample_builds_two_polynomials(self, monkeypatch):
+        line = default_line((3, 3, 3, 2))
+        cps = separable_critical_set(line, GRID.samples()[0])
+        assert self._checked_constructions(monkeypatch, lambda: products_at(line, cps, [Kind.HESSIAN])) <= 2
+
+    def test_hessian_trace_builds_phi_once_per_line(self, monkeypatch):
+        line = default_line((3, 3, 3, 2))
+        samples = GRID.samples()
+        built = self._checked_constructions(monkeypatch, lambda: evaluate_trace(line, samples, [Kind.HESSIAN]))
+        assert built == 1 + len(samples)  # phi once, then f - eps*phi at each of the 7 samples
 
 
 class TestSeparableAgainstPerLabel:

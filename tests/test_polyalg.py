@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +130,21 @@ class TestJsonLiteral:
     def test_non_finite_coefficient_is_rejected(self, re, im):
         data = {"vars": 2, "terms": [{"exp": [1, 0], "re": 1.0}, {"exp": [1, 1], "re": re, "im": im}]}
         with pytest.raises(ValueError, match=r"of exponent \(1, 1\) is not finite"):
+            SparsePoly.from_json_dict(data)
+
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"vars": 2, "terms": [{"exp": [1.7, 1], "re": 1.0}]}, "exponent entry 1.7 is not an integer"),
+            ({"vars": 2, "terms": [{"exp": [1, "1"], "re": 1.0}]}, "exponent entry '1' is not an integer"),
+            ({"vars": 2, "terms": [{"exp": [False, 1], "re": 1.0}]}, "exponent entry False is not an integer"),
+            ({"vars": 2.9, "terms": []}, "variable count 2.9 is not an integer"),
+            ({"vars": True, "terms": []}, "variable count True is not an integer"),
+        ],
+    )
+    def test_non_integer_is_rejected_not_truncated(self, data, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             SparsePoly.from_json_dict(data)
 
 
