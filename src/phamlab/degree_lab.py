@@ -91,7 +91,11 @@ class EpsilonGrid:
             raise ValueError("start magnitude must lie in (0, 1e-2]")
         if self.count < 4:
             raise ValueError("need at least 4 samples")
-        if not self.start * self.ratio ** (self.count - 1) > 0:
+        try:
+            smallest = self.start * self.ratio ** (self.count - 1)
+        except OverflowError:  # a count too large for a float underflows too
+            smallest = 0.0
+        if not smallest > 0:
             raise ValueError(f"{self.count} samples take |eps| below the smallest float")
         _ray(self.phase)  # rejects a non-finite phase
 
@@ -460,27 +464,24 @@ class MultiplicityReport:
         return any(r.verdict == Verdict.DEGENERATE.value for r in self.rows)
 
     def to_json_dict(self) -> dict:
-        def clean(x):
-            if isinstance(x, float) and not math.isfinite(x):
-                return None
-            return x
-
         return {
             "exponents": list(self.exponents),
             "preset": self.preset,
             "grid": asdict(self.grid),
-            "rows": [{key: clean(value) for key, value in asdict(r).items()} for r in self.rows],
+            "rows": [asdict(r) for r in self.rows],
             "all_match": self.all_match,
         }
 
 
 def _estimate_row(quantity: str, closed_form: int, est: DegreeEstimate) -> ReportRow:
+    """Row for one estimate; only a Match or Mismatch carries numbers, as in _halved_row."""
+    decided = est.verdict in (Verdict.MATCH, Verdict.MISMATCH)
     return ReportRow(
         quantity=quantity,
         closed_form=closed_form,
-        estimate=est.extrapolated,
+        estimate=est.extrapolated if decided else None,
         snapped=est.snapped,
-        residual=est.residual,
+        residual=est.residual if decided else None,
         verdict=est.verdict.value,
         hint=est.degenerate_hint,
     )

@@ -20,7 +20,7 @@ keeps traces byte-for-byte reproducible.  The index table depends only on
 every table of one trace, so its samples share each read-only:
 - rows: every tuple, in the smallest integer dtype that holds mu - 1;
 - columns: the forward rows, one per configuration, transposed, in that same
-  dtype, widened to intp one chunk at a time (numpy gathers fastest with it);
+  dtype, which the gathers read one chunk at a time with no widened copy;
   a mirrored D or Omega configuration is the exact negation of one evaluated
   once;
 - source: the forward row of every row, in the smallest unsigned dtype that

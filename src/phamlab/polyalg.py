@@ -122,14 +122,16 @@ class SparsePoly:
     def from_json_dict(cls, data: Mapping) -> "SparsePoly":
         """Read {"vars": n, "terms": [{"exp": [...], "re": x, "im": y}, ...]}.
 
-        n and the exponents are JSON integers; each exponent is listed once, each coefficient finite.
+        n and the exponents are JSON integers, re and im JSON numbers; each exponent is listed
+        once, each coefficient finite.
         """
         try:
             n = _json_int(data["vars"], "variable count")
             terms = {}
             for item in data["terms"]:
                 exp = tuple(_json_int(e, "exponent entry") for e in item["exp"])
-                coef = complex(float(item["re"]), float(item.get("im", 0.0)))
+                real = _json_float(item["re"], "real part")
+                coef = complex(real, _json_float(item.get("im", 0.0), "imaginary part"))
                 if exp in terms:
                     raise ValueError(f"exponent {exp} is listed twice in the polynomial literal")
                 if not cmath.isfinite(coef):
@@ -145,6 +147,13 @@ def _json_int(value, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{what} {value!r} is not an integer")
     return value
+
+
+def _json_float(value, what: str) -> float:
+    """A JSON number as a float; float() would read true as 1.0 and "0.5" as 0.5."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{what} {value!r} is not a number")
+    return float(value)
 
 
 def _evaluate_columns(p: SparsePoly, columns: Sequence[Sequence[complex]], count: int) -> list[complex]:

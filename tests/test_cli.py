@@ -109,6 +109,14 @@ class TestVerify:
         assert out == ""
         assert err == "error: 645 samples take |eps| below the smallest float\n"
 
+    def test_count_too_large_for_a_float_is_a_usage_error(self, capsys):
+        # the check is O(1): no grid is listed; Python said "int too large to convert to float"
+        count = str(10**400)
+        code, out, err = run(capsys, "verify", "3", "--eps-count", count)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {count} samples take |eps| below the smallest float\n"
+
 
 class TestCluster:
     def test_two_rows(self, capsys):
@@ -241,6 +249,23 @@ class TestPhiJson:
         terms = [{"exp": [1, 0], "re": 1.0}, {"exp": [0, 1], "re": 0.3}, {"exp": exp, "re": 0.1}]
         path = tmp_path / "phi.json"
         path.write_text(json.dumps({"vars": vars_, "terms": terms}))
+        code, out, err = run(capsys, "verify", "3", "2", "--phi-json", str(path))
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "coupling, message",
+        [
+            ({"re": True, "im": "0"}, "real part True is not a number"),
+            ({"re": 1.0, "im": "0"}, "imaginary part '0' is not a number"),
+        ],
+    )
+    def test_non_number_coefficient_is_a_usage_error(self, capsys, tmp_path, coupling, message):
+        # float() read true as 1.0 and "0" as 0.0, and verify ran on that
+        terms = [{"exp": [1, 0], "re": 1.0}, {"exp": [0, 1], "re": 0.3}, {"exp": [1, 1], **coupling}]
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps({"vars": 2, "terms": terms}))
         code, out, err = run(capsys, "verify", "3", "2", "--phi-json", str(path))
         assert code == 2
         assert out == ""

@@ -11,6 +11,7 @@ from phamlab import degree_lab
 from phamlab.closed_forms import binom12, mixed_depth_counts, pure_stokes_multiplicity
 from phamlab.critical_tracker import GenericLine, TrackedBatch, default_line, jittered_line
 from phamlab.degree_lab import (
+    DEFAULT_MU_CAP,
     ClusterReport,
     DegreeEstimate,
     EpsilonGrid,
@@ -51,7 +52,7 @@ class TestEpsilonGrid:
     def test_grid_that_underflows_to_zero_is_rejected(self):
         assert EpsilonGrid(count=644).magnitudes()[-1] == 5e-324
         # rejected before any magnitude is listed: a list of 10**9 would come first
-        for count in (645, 10**9):
+        for count in (645, 10**9, 10**400):  # 10**400 overflows a float rather than underflowing
             with pytest.raises(ValueError, match=f"^{count} samples take"):
                 EpsilonGrid(count=count)
 
@@ -445,6 +446,13 @@ class TestDerivedRows:
         assert (rows["maxwell"].snapped, rows["maxwell"].verdict) == (1, "Mismatch")
         assert (rows["pure_stokes"].snapped, rows["pure_stokes"].verdict) == (0, "Mismatch")
 
+    @pytest.mark.parametrize("verdict", [Verdict.INCONCLUSIVE, Verdict.DEGENERATE])
+    def test_undecided_pair_row_carries_no_numbers(self, monkeypatch, verdict):
+        # the NaN extrapolation and residual of an undecided estimate printed as "nan"
+        row = self.rows(monkeypatch, D_PAIR=_synthetic(Kind.D_PAIR, verdict))["pair_product_degree"]
+        assert row.verdict == verdict.value
+        assert (row.estimate, row.snapped, row.residual) == (None, None, None)
+
     def test_inconclusive_omega_has_no_hint(self, monkeypatch):
         rows = self.rows(
             monkeypatch,
@@ -454,3 +462,17 @@ class TestDerivedRows:
         assert row.verdict == "Inconclusive"
         assert row.hint is None
         assert (row.estimate, row.snapped, row.residual) == (None, None, None)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="ROADMAP item 1: verdict from converged slopes only"
+)
+@pytest.mark.parametrize(
+    "a, preset, mu_cap",
+    [((7, 5), "xy_coupled", 64), ((15,), "quadratic_1d", DEFAULT_MU_CAP), ((9, 7), "xy_coupled", 64)],
+)
+def test_no_row_is_a_mismatch(a, preset, mu_cap):
+    # each case has a Mismatch row from slopes that have not converged on the default grid;
+    # a case that passes (XPASS) fails the suite and becomes a plain regression test
+    report = verify_all(a, preset, mu_cap=mu_cap)
+    assert [r.quantity for r in report.rows if r.verdict == Verdict.MISMATCH.value] == []

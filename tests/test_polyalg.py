@@ -147,6 +147,25 @@ class TestJsonLiteral:
         with pytest.raises(ValueError, match=re.escape(message)):
             SparsePoly.from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "term, message",
+        [
+            ({"exp": [1, 1], "re": True}, "real part True is not a number"),
+            ({"exp": [1, 1], "re": "0.5"}, "real part '0.5' is not a number"),
+            ({"exp": [1, 1], "re": 1.0, "im": "0"}, "imaginary part '0' is not a number"),
+            ({"exp": [1, 1], "re": 1.0, "im": False}, "imaginary part False is not a number"),
+            ({"exp": [1, 1], "re": None}, "real part None is not a number"),
+        ],
+    )
+    def test_non_number_coefficient_is_rejected(self, term, message):
+        # float() read true as 1.0 and "0.5" as 0.5
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SparsePoly.from_json_dict({"vars": 2, "terms": [term]})
+
+    def test_integer_coefficient_is_a_number(self):
+        data = {"vars": 1, "terms": [{"exp": [1], "re": 2, "im": -1}]}
+        assert SparsePoly.from_json_dict(data) == SparsePoly(1, {(1,): 2 - 1j})
+
 
 class TestUnivariateRoots:
     def test_cube_roots_of_unity(self):
