@@ -32,6 +32,7 @@ CASES = {
     "verify_3_3_2": ["verify", "3", "3", "2", "--mu-cap", "18"],
     "verify_3_3_2_json": ["verify", "3", "3", "2", "--mu-cap", "18", "--format", "json"],
     "verify_3_slopes": ["verify", "3", "--slopes-csv", SLOPES],
+    "verify_15_quadratic_json": ["verify", "15", "--preset", "quadratic_1d", "--format", "json"],
     "verify_3_3_xy_phase_json": [
         "verify", "3", "3", "--preset", "xy_coupled", "--phase", "0.5", "--format", "json"
     ],
