@@ -119,6 +119,7 @@ class Verdict(str, Enum):
     MISMATCH = "Mismatch"
     DEGENERATE = "Degenerate"
     INCONCLUSIVE = "Inconclusive"
+    UNSUPPORTED = "Unsupported"
 
 
 @dataclass(frozen=True)
@@ -457,7 +458,7 @@ class MultiplicityReport:
 
     @property
     def all_match(self) -> bool:
-        return all(r.verdict == Verdict.MATCH.value for r in self.rows if r.verdict != "Unsupported")
+        return all(r.verdict in (Verdict.MATCH.value, Verdict.UNSUPPORTED.value) for r in self.rows)
 
     @property
     def any_degenerate(self) -> bool:
@@ -471,20 +472,6 @@ class MultiplicityReport:
             "rows": [asdict(r) for r in self.rows],
             "all_match": self.all_match,
         }
-
-
-def _estimate_row(quantity: str, closed_form: int, est: DegreeEstimate) -> ReportRow:
-    """Row for one estimate; only a Match or Mismatch carries numbers, as in _halved_row."""
-    decided = est.verdict in (Verdict.MATCH, Verdict.MISMATCH)
-    return ReportRow(
-        quantity=quantity,
-        closed_form=closed_form,
-        estimate=est.extrapolated if decided else None,
-        snapped=est.snapped,
-        residual=est.residual if decided else None,
-        verdict=est.verdict.value,
-        hint=est.degenerate_hint,
-    )
 
 
 def verify_all(
@@ -516,37 +503,30 @@ def verify_all(
     trace = evaluate_trace(line, grid.samples(), kinds)
     estimates = {kind: estimate_from_trace(trace, kind, ev) for kind in kinds}
 
-    maxwell = [(1, estimates[Kind.D_PAIR]), (-3, estimates[Kind.HESSIAN])]
-    rows = [
-        _estimate_row("pair_product_degree", l_value(ev), estimates[Kind.D_PAIR]),
-        _estimate_row("caustic", caustic_multiplicity(ev), estimates[Kind.HESSIAN]),
-        _halved_row("maxwell", maxwell_multiplicity(ev), maxwell),
-        _estimate_row("mixed_stokes", mixed_stokes_multiplicity(ev), estimates[Kind.Y_TRIPLE]),
-    ]
-    if pure is None:
-        rows.append(
-            ReportRow(
-                quantity="pure_stokes",
-                closed_form=None,
-                estimate=None,
-                snapped=None,
-                residual=None,
-                verdict="Unsupported",
-                hint="no closed form for this arity/parity",
-            )
-        )
-    else:
-        rows.append(_halved_row("pure_stokes", pure, [(1, estimates[Kind.OMEGA_QUAD])]))
-    return MultiplicityReport(ev.a, preset, grid, tuple(rows), estimates)
+    pair, hessian = estimates[Kind.D_PAIR], estimates[Kind.HESSIAN]
+    rows = (
+        _row("pair_product_degree", l_value(ev), [(1, pair)]),
+        _row("caustic", caustic_multiplicity(ev), [(1, hessian)]),
+        _row("maxwell", maxwell_multiplicity(ev), [(1, pair), (-3, hessian)], 2),
+        _row("mixed_stokes", mixed_stokes_multiplicity(ev), [(1, estimates[Kind.Y_TRIPLE])]),
+        _row("pure_stokes", pure, [(1, estimates.get(Kind.OMEGA_QUAD))], 2),
+    )
+    return MultiplicityReport(ev.a, preset, grid, rows, estimates)
 
 
-def _halved_row(quantity: str, closed_form: int, parts: Sequence[tuple[int, DegreeEstimate]]) -> ReportRow:
-    """Row for half of sum c * degree over (c, estimate) parts, e.g. Maxwell = (deg D - 3C)/2.
+def _row(
+    quantity: str, closed_form: Optional[int], parts: Sequence[tuple[int, DegreeEstimate]], divisor: int = 1
+) -> ReportRow:
+    """Row for sum c * degree / divisor over (c, estimate) parts, e.g. Maxwell = (deg D - 3C)/2.
 
-    Degenerate wins over Inconclusive and takes the hint of the first degenerate
-    part; the row is a Match only when every part matches and the halved snap
-    equals the closed form.
+    No closed form gives an Unsupported row.  Degenerate wins over Inconclusive
+    and takes the hint of the first degenerate part; the row is a Match only
+    when every part matches and the divided snap equals the closed form.  Only
+    a Match or Mismatch carries numbers; its residual is |estimate - closed form|.
     """
+    if closed_form is None:
+        hint = "no closed form for this arity/parity"
+        return ReportRow(quantity, None, None, None, None, Verdict.UNSUPPORTED.value, hint)
     estimates = [est for _, est in parts]
     degenerate = [est for est in estimates if est.verdict is Verdict.DEGENERATE]
     if degenerate:
@@ -557,9 +537,10 @@ def _halved_row(quantity: str, closed_form: int, parts: Sequence[tuple[int, Degr
         return ReportRow(quantity, closed_form, None, None, None, Verdict.INCONCLUSIVE.value)
     # the first term starts the sum, so a lone -0.0 estimate keeps its sign
     terms = [c * est.extrapolated for c, est in parts]
-    estimate = sum(terms[1:], terms[0]) / 2
-    twice = sum(c * est.snapped for c, est in parts)
-    snapped: float = twice // 2 if twice % 2 == 0 else twice / 2
+    estimate = sum(terms[1:], terms[0]) / divisor
+    total = sum(c * est.snapped for c, est in parts)
+    whole, remainder = divmod(total, divisor)
+    snapped: float = total / divisor if remainder else whole
     ok = all(est.verdict is Verdict.MATCH for est in estimates) and snapped == closed_form
     verdict = Verdict.MATCH if ok else Verdict.MISMATCH
     return ReportRow(quantity, closed_form, estimate, snapped, abs(estimate - closed_form), verdict.value)

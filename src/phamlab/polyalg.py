@@ -153,7 +153,10 @@ def _json_float(value, what: str) -> float:
     """A JSON number as a float; float() would read true as 1.0 and "0.5" as 0.5."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValueError(f"{what} {value!r} is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer too large for a float reads as inf, like the literal 1e400
+        return math.inf if value > 0 else -math.inf
 
 
 def _evaluate_columns(p: SparsePoly, columns: Sequence[Sequence[complex]], count: int) -> list[complex]:

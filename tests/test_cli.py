@@ -259,10 +259,12 @@ class TestPhiJson:
         [
             ({"re": True, "im": "0"}, "real part True is not a number"),
             ({"re": 1.0, "im": "0"}, "imaginary part '0' is not a number"),
+            ({"re": 10**400}, "coefficient (inf+0j) of exponent (1, 1) is not finite"),
         ],
     )
     def test_non_number_coefficient_is_a_usage_error(self, capsys, tmp_path, coupling, message):
-        # float() read true as 1.0 and "0" as 0.0, and verify ran on that
+        # float() read true as 1.0 and "0" as 0.0, and verify ran on that; a 401-digit
+        # integer gave Python's own "int too large to convert to float"
         terms = [{"exp": [1, 0], "re": 1.0}, {"exp": [0, 1], "re": 0.3}, {"exp": [1, 1], **coupling}]
         path = tmp_path / "phi.json"
         path.write_text(json.dumps({"vars": 2, "terms": terms}))

@@ -9,7 +9,7 @@ import pytest
 
 from phamlab import degree_lab
 from phamlab.closed_forms import binom12, mixed_depth_counts, pure_stokes_multiplicity
-from phamlab.critical_tracker import GenericLine, TrackedBatch, default_line, jittered_line
+from phamlab.critical_tracker import GenericLine, TrackedBatch, TrackerError, default_line, jittered_line
 from phamlab.degree_lab import (
     DEFAULT_MU_CAP,
     ClusterReport,
@@ -329,7 +329,7 @@ class TestVerifyAll:
     def test_unsupported_pure_row(self):
         report = verify_all((2, 2))
         row = {r.quantity: r for r in report.rows}["pure_stokes"]
-        assert row.verdict == "Unsupported"
+        assert row.verdict == Verdict.UNSUPPORTED.value
         assert report.all_match  # unsupported rows are not attempted
 
     def test_mu_cap(self):
@@ -384,7 +384,7 @@ def _synthetic(kind, verdict, snapped=None, extrapolated=math.nan, hint=None):
 
 
 class TestDerivedRows:
-    """Maxwell and pure-Stokes rows built from synthetic estimates for a = (3,).
+    """Report rows built from synthetic estimates for a = (3,).
 
     Closed forms: L = 8, C = 2, M = 1, mixed Stokes 4, pure Stokes 0.
     """
@@ -446,6 +446,13 @@ class TestDerivedRows:
         assert (rows["maxwell"].snapped, rows["maxwell"].verdict) == (1, "Mismatch")
         assert (rows["pure_stokes"].snapped, rows["pure_stokes"].verdict) == (0, "Mismatch")
 
+    def test_direct_residual_is_distance_to_closed_form(self, monkeypatch):
+        # a direct row reported the estimate's distance to its own snap (NaN here), not to the closed form
+        rows = self.rows(monkeypatch, Y_TRIPLE=_synthetic(Kind.Y_TRIPLE, Verdict.MISMATCH, 5, 5.01))
+        row = rows["mixed_stokes"]
+        assert (row.snapped, row.verdict) == (5, "Mismatch")
+        assert row.residual == pytest.approx(1.01)
+
     @pytest.mark.parametrize("verdict", [Verdict.INCONCLUSIVE, Verdict.DEGENERATE])
     def test_undecided_pair_row_carries_no_numbers(self, monkeypatch, verdict):
         # the NaN extrapolation and residual of an undecided estimate printed as "nan"
@@ -476,3 +483,14 @@ def test_no_row_is_a_mismatch(a, preset, mu_cap):
     # a case that passes (XPASS) fails the suite and becomes a plain regression test
     report = verify_all(a, preset, mu_cap=mu_cap)
     assert [r.quantity for r in report.rows if r.verdict == Verdict.MISMATCH.value] == []
+
+
+@pytest.mark.xfail(strict=True, raises=TrackerError, reason="ROADMAP item 3: scale-relative set validation")
+@pytest.mark.parametrize(
+    "a, preset, start",
+    [((11, 3), "xy_coupled", 1e-22), ((13, 2), "linear", 1e-26)],
+)
+def test_deep_grid_sets_pass_validation(a, preset, start):
+    # the absolute distinctness floor 1e-8 rejects good sets this deep (min distance
+    # 7.9e-09 tracked, 1.1e-13 closed form); a case that passes (XPASS) fails the suite
+    verify_all(a, preset, grid=EpsilonGrid(start=start), mu_cap=64)

@@ -162,6 +162,14 @@ class TestJsonLiteral:
         with pytest.raises(ValueError, match=re.escape(message)):
             SparsePoly.from_json_dict({"vars": 2, "terms": [term]})
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_huge_integer_coefficient_is_not_finite(self, sign):
+        # float() raised "int too large to convert to float", naming neither the term nor the value
+        data = {"vars": 2, "terms": [{"exp": [1, 1], "re": sign * 10**400}]}
+        coef = "(inf+0j)" if sign > 0 else "(-inf+0j)"
+        with pytest.raises(ValueError, match=re.escape(f"coefficient {coef} of exponent (1, 1) is not finite")):
+            SparsePoly.from_json_dict(data)
+
     def test_integer_coefficient_is_a_number(self):
         data = {"vars": 1, "terms": [{"exp": [1], "re": 2, "im": -1}]}
         assert SparsePoly.from_json_dict(data) == SparsePoly(1, {(1,): 2 - 1j})
