@@ -49,6 +49,9 @@ CASES = {
     "mult_3_3": ["mult", "3", "3"],
     "mult_3_3_json": ["mult", "3", "3", "--format", "json"],
     "mult_3_3_csv": ["mult", "3", "3", "--format", "csv"],
+    "mult_4_4": ["mult", "4", "4"],
+    "mult_5_3_csv": ["mult", "5", "3", "--format", "csv"],
+    "mult_4_2_json": ["mult", "4", "2", "--format", "json"],
     "presets": ["presets"],
     "help": ["--help"],
     "help_mult": ["mult", "--help"],
