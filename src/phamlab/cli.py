@@ -102,47 +102,37 @@ def _fmt(value) -> str:
 
 def cmd_mult(args) -> int:
     ev = ExponentVector(tuple(args.exponents))
-    sets = MultiplicitySet.compute(ev)
-    payload = {
-        "exponents": list(ev.a),
-        "mu": sets.mu,
-        "L": sets.l_value,
-        "caustic": sets.caustic,
-        "maxwell": sets.maxwell,
-        "mixed_stokes": sets.mixed_stokes,
-        "pure_stokes": sets.pure_stokes,
-    }
-    homogeneous = None
-    if len(set(ev.a)) == 1:
-        report = homogeneous_report(ev.a[0], ev.n)
-        homogeneous = {
-            "caustic_over_n_mu": _ratio_payload(report.ratio_caustic),
-            "maxwell_over_half_mu2": _ratio_payload(report.ratio_maxwell),
-            "mixed_over_half_mu3": _ratio_payload(report.ratio_mixed),
-            "pure_over_eighth_mu4": _ratio_payload(report.ratio_pure),
-        }
-        payload["homogeneous_ratios"] = homogeneous
+    equal = len(set(ev.a)) == 1
+    sets = homogeneous_report(ev.a[0], ev.n) if equal else MultiplicitySet.compute(ev)
+    rows = [  # (JSON and CSV key, text label, value)
+        ("mu", "mu", sets.mu),
+        ("L", "L = 3C + 2M", sets.l_value),
+        ("caustic", "caustic", sets.caustic),
+        ("maxwell", "maxwell", sets.maxwell),
+        ("mixed_stokes", "mixed_stokes", sets.mixed_stokes),
+        ("pure_stokes", "pure_stokes", sets.pure_stokes),
+    ]
+    ratios = {
+        "caustic_over_n_mu": _ratio_payload(sets.ratio_caustic),
+        "maxwell_over_half_mu2": _ratio_payload(sets.ratio_maxwell),
+        "mixed_over_half_mu3": _ratio_payload(sets.ratio_mixed),
+        "pure_over_eighth_mu4": _ratio_payload(sets.ratio_pure),
+    } if equal else {}
 
     if args.format == "json":
-        _emit_json(payload)
+        payload = {"exponents": list(ev.a), **{key: value for key, _, value in rows}}
+        _emit_json({**payload, "homogeneous_ratios": ratios} if ratios else payload)
     elif args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["quantity", "value"])
-        for key in ("mu", "L", "caustic", "maxwell", "mixed_stokes", "pure_stokes"):
-            value = payload[key]
-            writer.writerow([key, "unsupported" if value is None else value])
+        writer.writerows([key, "unsupported" if value is None else value] for key, _, value in rows)
     else:
-        print(f"exponents      {' '.join(str(x) for x in ev.a)}")
-        print(f"mu             {sets.mu}")
-        print(f"L = 3C + 2M    {sets.l_value}")
-        print(f"caustic        {sets.caustic}")
-        print(f"maxwell        {sets.maxwell}")
-        print(f"mixed_stokes   {sets.mixed_stokes}")
-        pure = "unsupported" if sets.pure_stokes is None else sets.pure_stokes
-        print(f"pure_stokes    {pure}")
-        if homogeneous:
+        print(f"{'exponents':15s}{' '.join(str(x) for x in ev.a)}")
+        for _, label, value in rows:
+            print(f"{label:15s}{'unsupported' if value is None else value}")
+        if ratios:
             print("asymptotic ratios (equal exponents):")
-            for key, value in homogeneous.items():
+            for key, value in ratios.items():
                 shown = "-" if value is None else f"{value['value']:.6f} ({value['exact']})"
                 print(f"  {key:24s} {shown}")
     return EXIT_OK

@@ -15,7 +15,7 @@ instead of rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -23,7 +23,6 @@ __all__ = [
     "ExponentVector",
     "MultiplicitySet",
     "HomogeneousReport",
-    "milnor_number",
     "l_value",
     "l_value_rewritten",
     "caustic_multiplicity",
@@ -90,11 +89,6 @@ def _as_integer(value: Fraction, what: str) -> int:
     return int(value)
 
 
-def milnor_number(a: ExponentsLike) -> int:
-    """Product a_1 * ... * a_n."""
-    return _ev(a).mu
-
-
 def l_value(a: ExponentsLike) -> int:
     """Degree of the pair-difference product on a generic line: 3*C + 2*M.
 
@@ -117,10 +111,10 @@ def l_value_rewritten(a: ExponentsLike) -> int:
     """
     e = _ev(a).a
     mu = math.prod(e)
-    total = 2 * _binom2(mu) * Fraction(e[0] + 1, e[0])
+    total = 2 * math.comb(mu, 2) * Fraction(e[0] + 1, e[0])
     for j in range(1, len(e)):
         head = math.prod(e[:j])
-        total += 2 * head * _binom2(math.prod(e[j:])) * Fraction(e[j - 1] - e[j], e[j - 1] * e[j])
+        total += 2 * head * math.comb(math.prod(e[j:]), 2) * Fraction(e[j - 1] - e[j], e[j - 1] * e[j])
     return _as_integer(total, "rewritten pair-product degree")
 
 
@@ -144,8 +138,6 @@ def binom12(count: int) -> int:
     """Choices of one distinguished point plus an unordered pair: A(A-1)(A-2)/2."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if count < 3:
-        return 0
     return count * (count - 1) * (count - 2) // 2
 
 
@@ -153,13 +145,7 @@ def binom22(count: int) -> int:
     """Ordered pairs of disjoint unordered pairs: A(A-1)(A-2)(A-3)/4."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if count < 4:
-        return 0
     return count * (count - 1) * (count - 2) * (count - 3) // 4
-
-
-def _binom2(count: int) -> int:
-    return count * (count - 1) // 2 if count >= 2 else 0
 
 
 def mixed_stokes_multiplicity(a: ExponentsLike) -> int:
@@ -235,8 +221,8 @@ def pure_stokes_multiplicity(a: ExponentsLike) -> Optional[int]:
         total = (
             Fraction(p + 1, 2 * p) * binom22(p * q)
             + Fraction(p - q, 2 * q) * binom22(q)
-            + Fraction(p - q, p) * _binom2(p) * _binom2(q) * (q - 1)
-            + Fraction(1, p) * _binom2(p) * _binom2(q)
+            + Fraction(p - q, p) * math.comb(p, 2) * math.comb(q, 2) * (q - 1)
+            + Fraction(1, p) * math.comb(p, 2) * math.comb(q, 2)
         )
         return _as_integer(total, "pure Stokes multiplicity")
     return None
@@ -276,7 +262,7 @@ class MultiplicitySet:
 
 
 @dataclass(frozen=True)
-class HomogeneousReport:
+class HomogeneousReport(MultiplicitySet):
     """Multiplicities for n equal exponents, with large-degree ratio checks.
 
     The ratios compare each multiplicity with its leading-order growth in the
@@ -286,11 +272,6 @@ class HomogeneousReport:
 
     a: int
     n: int
-    mu: int
-    caustic: int
-    maxwell: int
-    mixed_stokes: int
-    pure_stokes: Optional[int]
     ratio_caustic: Fraction
     ratio_maxwell: Fraction
     ratio_mixed: Fraction
@@ -300,22 +281,14 @@ class HomogeneousReport:
 def homogeneous_report(a: int, n: int) -> HomogeneousReport:
     if a < 1 or n < 1:
         raise ValueError("need a >= 1 and n >= 1")
-    ev = ExponentVector((a,) * n)
-    mu = ev.mu
-    caustic = caustic_multiplicity(ev)
-    maxwell = maxwell_multiplicity(ev)
-    mixed = mixed_stokes_multiplicity(ev)
-    pure = pure_stokes_multiplicity(ev)
+    sets = MultiplicitySet.compute((a,) * n)
+    mu, pure = sets.mu, sets.pure_stokes
     return HomogeneousReport(
+        **asdict(sets),
         a=a,
         n=n,
-        mu=mu,
-        caustic=caustic,
-        maxwell=maxwell,
-        mixed_stokes=mixed,
-        pure_stokes=pure,
-        ratio_caustic=Fraction(caustic, n * mu),
-        ratio_maxwell=Fraction(2 * maxwell, mu * mu),
-        ratio_mixed=Fraction(2 * mixed, mu**3),
+        ratio_caustic=Fraction(sets.caustic, n * mu),
+        ratio_maxwell=Fraction(2 * sets.maxwell, mu * mu),
+        ratio_mixed=Fraction(2 * sets.mixed_stokes, mu**3),
         ratio_pure=Fraction(8 * pure, mu**4) if pure is not None else None,
     )

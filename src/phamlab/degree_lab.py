@@ -58,7 +58,6 @@ __all__ = [
     "MultiplicityReport",
     "MATCH_TOLERANCE",
     "CLASSIFY_TOLERANCE",
-    "predicted_total_degree",
     "estimate_degree",
     "estimate_from_trace",
     "admissible_factor_exponents",
@@ -133,12 +132,11 @@ class DegreeEstimate:
     extrapolated: float
     snapped: Optional[int]
     residual: float
-    predicted: Optional[int]
     verdict: Verdict
-    degenerate_hint: Optional[str] = None
+    hint: Optional[str] = None
 
 
-def predicted_total_degree(a: ExponentsLike, kind: Kind) -> Optional[int]:
+def _predicted_total_degree(a: ExponentsLike, kind: Kind) -> Optional[int]:
     ev = _ev(a)
     if kind is Kind.D_PAIR:
         return l_value(ev)
@@ -201,7 +199,7 @@ def estimate_from_trace(trace: LogProductTrace, kind: Kind, a: ExponentsLike) ->
     ev = _ev(a)
     mags = tuple(abs(e) for e in trace.epsilon_samples)
     totals = tuple(trace.totals(kind))
-    predicted = predicted_total_degree(ev, kind)
+    predicted = _predicted_total_degree(ev, kind)
     slopes: tuple[float, ...] = ()
     extrapolated, snapped, residual, hint = math.nan, None, math.nan, None
     if trace.has_zero(kind):
@@ -227,9 +225,8 @@ def estimate_from_trace(trace: LogProductTrace, kind: Kind, a: ExponentsLike) ->
         extrapolated=extrapolated,
         snapped=snapped,
         residual=residual,
-        predicted=predicted,
         verdict=verdict,
-        degenerate_hint=hint,
+        hint=hint,
     )
 
 
@@ -519,22 +516,20 @@ def _row(
 ) -> ReportRow:
     """Row for sum c * degree / divisor over (c, estimate) parts, e.g. Maxwell = (deg D - 3C)/2.
 
-    No closed form gives an Unsupported row.  Degenerate wins over Inconclusive
-    and takes the hint of the first degenerate part; the row is a Match only
-    when every part matches and the divided snap equals the closed form.  Only
-    a Match or Mismatch carries numbers; its residual is |estimate - closed form|.
+    No closed form gives an Unsupported row.  Degenerate wins over
+    Inconclusive, and the row takes the hint of the first part with that
+    verdict.  The row is a Match only when every part matches and the divided
+    snap equals the closed form; only a Match or Mismatch carries numbers, and
+    its residual is |estimate - closed form|.
     """
     if closed_form is None:
         hint = "no closed form for this arity/parity"
         return ReportRow(quantity, None, None, None, None, Verdict.UNSUPPORTED.value, hint)
     estimates = [est for _, est in parts]
-    degenerate = [est for est in estimates if est.verdict is Verdict.DEGENERATE]
-    if degenerate:
-        return ReportRow(
-            quantity, closed_form, None, None, None, Verdict.DEGENERATE.value, degenerate[0].degenerate_hint
-        )
-    if any(est.verdict is Verdict.INCONCLUSIVE for est in estimates):
-        return ReportRow(quantity, closed_form, None, None, None, Verdict.INCONCLUSIVE.value)
+    for verdict in (Verdict.DEGENERATE, Verdict.INCONCLUSIVE):
+        undecided = next((est for est in estimates if est.verdict is verdict), None)
+        if undecided is not None:
+            return ReportRow(quantity, closed_form, None, None, None, verdict.value, undecided.hint)
     # the first term starts the sum, so a lone -0.0 estimate keeps its sign
     terms = [c * est.extrapolated for c, est in parts]
     estimate = sum(terms[1:], terms[0]) / divisor

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from phamlab import closed_forms
 from phamlab.cli import main
 
 
@@ -48,6 +49,20 @@ class TestMult:
         code, _, err = run(capsys, "mult", "0")
         assert code == 2
         assert "positive" in err
+
+    @pytest.mark.parametrize("argv", [["mult", "3", "3"], ["mult", "4"], ["mult", "5", "3"]])
+    def test_each_closed_form_is_evaluated_once(self, argv, capsys, monkeypatch):
+        # equal exponents print the multiplicities and their ratios from one record
+        calls = []
+        original = closed_forms.mixed_stokes_multiplicity
+
+        def counting(a):
+            calls.append(a)
+            return original(a)
+
+        monkeypatch.setattr(closed_forms, "mixed_stokes_multiplicity", counting)
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == 1
 
 
 class TestVerify:

@@ -22,7 +22,6 @@ from phamlab.closed_forms import (
     l_value,
     l_value_rewritten,
     maxwell_multiplicity,
-    milnor_number,
     mixed_depth_counts,
     mixed_stokes_multiplicity,
     pair_depth_counts,
@@ -115,7 +114,7 @@ class TestExponentVector:
 class TestMilnorNumber:
     @pytest.mark.parametrize("a, expected", [((3,), 3), ((3, 3), 9), ((1, 1, 1), 1)])
     def test_examples(self, a, expected):
-        assert milnor_number(a) == expected
+        assert ExponentVector(a).mu == expected
 
 
 class TestLValue:
@@ -134,8 +133,8 @@ class TestLValue:
 
     def test_pair_depth_counts_sum(self):
         for a in [(3,), (5, 3), (3, 3), (4, 2, 1)]:
-            counts = pair_depth_counts(a)
-            assert sum(counts.values()) == milnor_number(a) * (milnor_number(a) - 1)
+            counts, mu = pair_depth_counts(a), ExponentVector(a).mu
+            assert sum(counts.values()) == mu * (mu - 1)
             assert sum(e * c for e, c in counts.items()) == l_value(a)
 
 
@@ -181,7 +180,7 @@ class TestMixedStokes:
     @pytest.mark.parametrize("a", [(3,), (5, 3), (3, 3), (4, 3, 2)])
     def test_depth_counts_telescoped_sum(self, a):
         counts = mixed_depth_counts(a)
-        assert sum(counts.values()) == binom12(milnor_number(a))
+        assert sum(counts.values()) == binom12(ExponentVector(a).mu)
         assert sum(e * c for e, c in counts.items()) == mixed_stokes_multiplicity(a)
 
     def test_depth_counts_53(self):
@@ -257,6 +256,7 @@ class TestIdentitySuite:
 class TestHomogeneous:
     def test_values_3_2(self):
         report = homogeneous_report(3, 2)
+        assert isinstance(report, MultiplicitySet)
         assert (report.caustic, report.maxwell) == (12, 30)
 
     def test_trivial_1_3(self):

@@ -84,7 +84,7 @@ class TestEstimateDegree:
     def test_even_exponent_linear_is_degenerate(self):
         est = estimate_degree(default_line((4,)), Kind.OMEGA_QUAD)
         assert est.verdict is Verdict.DEGENERATE
-        assert "parallelogram" in est.degenerate_hint
+        assert "parallelogram" in est.hint
 
     def test_quadratic_direction_restores_genericity(self):
         est = estimate_degree(default_line((4,), "quadratic_1d"), Kind.OMEGA_QUAD)
@@ -377,9 +377,8 @@ def _synthetic(kind, verdict, snapped=None, extrapolated=math.nan, hint=None):
         extrapolated=extrapolated,
         snapped=snapped,
         residual=math.nan,
-        predicted=None,
         verdict=verdict,
-        degenerate_hint=hint,
+        hint=hint,
     )
 
 
@@ -460,14 +459,15 @@ class TestDerivedRows:
         assert row.verdict == verdict.value
         assert (row.estimate, row.snapped, row.residual) == (None, None, None)
 
-    def test_inconclusive_omega_has_no_hint(self, monkeypatch):
+    def test_inconclusive_omega_carries_its_hint(self, monkeypatch):
+        # an undecided row passes on the reason its estimate gives, Inconclusive as well as Degenerate
         rows = self.rows(
             monkeypatch,
-            OMEGA_QUAD=_synthetic(Kind.OMEGA_QUAD, Verdict.INCONCLUSIVE, hint="stale"),
+            OMEGA_QUAD=_synthetic(Kind.OMEGA_QUAD, Verdict.INCONCLUSIVE, hint="slopes still moving"),
         )
         row = rows["pure_stokes"]
         assert row.verdict == "Inconclusive"
-        assert row.hint is None
+        assert row.hint == "slopes still moving"
         assert (row.estimate, row.snapped, row.residual) == (None, None, None)
 
 

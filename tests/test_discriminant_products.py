@@ -6,6 +6,7 @@ import math
 import random
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -422,6 +423,51 @@ def kernel_magnitudes(kind, values):
     return magnitudes if table.source is None else magnitudes[table.source]
 
 
+def oracle_terms(line, eps):
+    """Term map of f - eps*phi in mpmath numbers: the exact head, and eps times each phi coefficient."""
+    terms = {}
+    for i, ai in enumerate(line.a):
+        terms[(0,) * i + (ai + 1,) + (0,) * (line.n - 1 - i)] = mpmath.mpf(1) / (ai + 1)
+    for exp, coef in line.phi.terms.items():
+        terms[exp] = -mpmath.mpc(eps) * mpmath.mpc(coef)
+    return terms
+
+
+def oracle_eval(terms, z, *wrt):
+    """The term map, differentiated once by each variable index in wrt, at the point z."""
+    total = mpmath.mpc(0)
+    for exp, coef in terms.items():
+        exp = list(exp)
+        for i in wrt:
+            coef, exp[i] = coef * exp[i], exp[i] - 1
+        if coef:
+            total += coef * mpmath.fprod(z[i] ** e for i, e in enumerate(exp))
+    return total
+
+
+def oracle_log_totals(terms, points):
+    """log|D|, log|Y|, log|Omega| and log|Hessian product| over the points, summed at the working precision."""
+    n = len(points[0])
+    v = [oracle_eval(terms, z) for z in points]
+    pairs = list(itertools.combinations(range(len(v)), 2))
+    hessians = [
+        mpmath.det(mpmath.matrix([[oracle_eval(terms, z, i, j) for j in range(n)] for i in range(n)]))
+        for z in points
+    ]
+    return {
+        Kind.D_PAIR: 2 * mpmath.fsum(mpmath.log(abs(v[i] - v[j])) for i, j in pairs),
+        Kind.Y_TRIPLE: mpmath.fsum(
+            mpmath.log(abs(2 * v[i] - v[j] - v[k])) for i in range(len(v)) for j, k in pairs if i not in (j, k)
+        ),
+        Kind.OMEGA_QUAD: 2 * mpmath.fsum(
+            mpmath.log(abs(v[i] + v[j] - v[k] - v[m]))
+            for (i, j), (k, m) in itertools.combinations(pairs, 2)
+            if not {i, j} & {k, m}
+        ),
+        Kind.HESSIAN: mpmath.fsum(mpmath.log(abs(h)) for h in hessians),
+    }
+
+
 class TestLogFunction:
     """The kernels take every factor log with np.log; these pin what that relies on."""
 
@@ -450,8 +496,6 @@ class TestLogFunction:
         assert (np.abs(product.logs - reference) <= np.spacing(np.abs(reference))).all()
 
     def test_y_logs_within_one_ulp_of_mpmath(self, tracked_7_5_values):
-        import mpmath
-
         product = log_Y(tracked_7_5_values)
         magnitudes = kernel_magnitudes(Kind.Y_TRIPLE, tracked_7_5_values)
         kept = ~np.isnan(product.logs)
@@ -462,6 +506,32 @@ class TestLogFunction:
                 for log, magnitude in zip(product.logs[kept].tolist(), magnitudes[kept].tolist())
             ]
         assert max(ulps) <= 1
+
+    @pytest.mark.parametrize(
+        "a, preset",
+        [((3, 2), "xy_coupled"), ((3, 3), "xy_coupled"), ((4, 3), "xy_coupled"), ((5,), "quadratic_1d")],
+    )
+    def test_values_and_totals_against_a_50_digit_oracle(self, a, preset):
+        # both critical-value evaluators and every product total, at the ends of the default grid
+        line = default_line(a, preset)
+        samples = EpsilonGrid().samples()
+        for eps in (samples[0], samples[-1]):
+            cps = critical_set(line, eps)
+            totals = evaluate_trace(line, [eps], list(Kind)).samples[0]
+            with mpmath.workdps(50):
+                terms = oracle_terms(line, eps)
+                gradient = [lambda *z, i=i: oracle_eval(terms, z, i) for i in range(line.n)]
+                jacobian = lambda *z: [[oracle_eval(terms, z, i, j) for j in range(line.n)] for i in range(line.n)]
+                polished = [
+                    list(mpmath.findroot(gradient, [mpmath.mpc(c) for c in point], J=jacobian))
+                    for point in cps.coords.tolist()
+                ]
+                exact = [oracle_eval(terms, [mpmath.mpc(c) for c in point]) for point in cps.coords.tolist()]
+                for computed in (cps.values, line_function(line, eps).eval_batch(cps.coords)):
+                    for got, want in zip(computed.tolist(), exact):
+                        assert abs(got - want) <= 4 * math.ulp(float(abs(want)))
+                for kind, want in oracle_log_totals(terms, polished).items():
+                    assert abs(totals[kind].total - want) <= 1e-13 * abs(want), kind
 
 
 def refuse_logs(self):
