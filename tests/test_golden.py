@@ -2,12 +2,14 @@
 
 Each file under ``tests/golden/`` starts with an ``exit <code>`` line followed
 by the exact stdout of one invocation; the ``--slopes-csv`` case appends the
-CSV file after a marker line.  ``--help`` cases exit through SystemExit and
-are rendered at COLUMNS=80.
+CSV file after a marker line.  The ``--phi-json`` case reads PHI_JSON from a
+temporary file.  ``--help`` cases exit through SystemExit and are rendered at
+COLUMNS=80.
 """
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,18 @@ from phamlab.discriminant_products import LogProduct
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SLOPES = "{slopes}"  # replaced by a temporary CSV path
 SLOPES_MARKER = b"--- slopes csv ---\n"
+PHI = "{phi}"  # replaced by the path of a temporary file holding PHI_JSON
+# x + 0.01 y + 1e-4 z + 0.003 xyz + 0.002 x^2 y, a tracked line on three variables
+PHI_JSON = {
+    "vars": 3,
+    "terms": [
+        {"exp": [1, 0, 0], "re": 1.0},
+        {"exp": [0, 1, 0], "re": 0.01},
+        {"exp": [0, 0, 1], "re": 0.0001},
+        {"exp": [1, 1, 1], "re": 0.003},
+        {"exp": [2, 1, 0], "re": 0.002},
+    ],
+}
 
 CASES = {
     "verify_3_3_xy": ["verify", "3", "3", "--preset", "xy_coupled"],
@@ -32,6 +46,7 @@ CASES = {
     "verify_3_3_2": ["verify", "3", "3", "2", "--mu-cap", "18"],
     "verify_3_3_2_json": ["verify", "3", "3", "2", "--mu-cap", "18", "--format", "json"],
     "verify_3_slopes": ["verify", "3", "--slopes-csv", SLOPES],
+    "verify_3_3_3_phi_json": ["verify", "3", "3", "3", "--phi-json", PHI, "--mu-cap", "27", "--format", "json"],
     "verify_15_quadratic_json": ["verify", "15", "--preset", "quadratic_1d", "--format", "json"],
     "verify_3_3_xy_phase_json": [
         "verify", "3", "3", "--preset", "xy_coupled", "--phase", "0.5", "--format", "json"
@@ -64,16 +79,18 @@ CASES = {
 
 def run_case(argv, tmp_dir: Path) -> bytes:
     """Exit line, stdout and (if requested) the slopes CSV of one CLI call."""
-    slopes = tmp_dir / "slopes.csv"
+    paths = {SLOPES: tmp_dir / "slopes.csv", PHI: tmp_dir / "phi.json"}
+    if PHI in argv:
+        paths[PHI].write_text(json.dumps(PHI_JSON), encoding="utf-8")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         try:
-            code = main([str(slopes) if arg == SLOPES else arg for arg in argv])
+            code = main([str(paths.get(arg, arg)) for arg in argv])
         except SystemExit as stop:
             code = stop.code
     record = f"exit {code}\n".encode() + out.getvalue().encode()
     if SLOPES in argv:
-        record += SLOPES_MARKER + slopes.read_bytes()
+        record += SLOPES_MARKER + paths[SLOPES].read_bytes()
     return record
 
 
