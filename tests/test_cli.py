@@ -222,6 +222,15 @@ class TestPhiJson:
         assert code == 0
         assert out.count("Match") == 5
 
+    def test_deeply_nested_file_is_a_usage_error(self, capsys, tmp_path):
+        # json.load raised RecursionError, and main exited 1 as if a row had failed
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run(capsys, "verify", "3", "2", "--phi-json", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: JSON nested too deeply\n"
+
     def test_json_report_names_no_preset(self, capsys, tmp_path):
         path = tmp_path / "phi.json"
         path.write_text(json.dumps({"vars": 2, "terms": [{"exp": [1, 0], "re": 1.0}, {"exp": [0, 1], "re": 0.3}]}))
