@@ -19,7 +19,9 @@ uniform step grid stay: another solver, a predictor or other step counts would
 move the end-point bits, and with them every tracked output.
 
 A CriticalPointSet holds the labels in itertools.product order and the read-only
-(mu, n) coordinates and (mu,) critical values, row k belonging to labels[k].
+(mu, n) coordinates and (mu,) critical values, row k belonging to labels[k].  A
+closed-form set and a tracked one alike take the values f - eps*phi at their
+points from _values_at, which evaluates the line's cached phi.
 """
 
 from __future__ import annotations
@@ -248,38 +250,21 @@ def separable_critical_set(line: GenericLine, eps: complex) -> CriticalPointSet:
     """Closed-form critical points for an empty tail.
 
     Coordinate i of the point labelled k is (q_i*eps)^(1/a_i) * exp(2*pi*1j*k_i/a_i)
-    with the principal root; the critical value is
-    eps * sum_i c_i (q_i*eps)^(1/a_i) * w_i^(k_i) with c_i = -q_i*a_i/(a_i+1).
-    Each coordinate's a_i branch coordinates and value terms are computed once
-    and gathered at the label entries, with numpy operations over the whole set.
+    with the principal root.  Each coordinate's a_i branch coordinates are
+    computed once and combined in label order; the values come from _values_at,
+    as for a tracked set.
     """
     if not line.phi_tail.is_zero():
         raise ValueError("closed-form point set needs an empty tail; use track_to_phi")
     eps = _check_eps(eps)
     exps = line.a.a
-    n = len(exps)
-    principal = [(line.q[i] * eps) ** (1.0 / exps[i]) for i in range(n)]
     branch_coord = [
-        [principal[i] * cmath.exp(2j * math.pi * k / exps[i]) for k in range(exps[i])]
-        for i in range(n)
-    ]
-    # per-branch contribution to the critical value
-    value_coef = [-line.q[i] * exps[i] / (exps[i] + 1) for i in range(n)]
-    branch_value = [
-        [eps * value_coef[i] * branch_coord[i][k] for k in range(exps[i])]
-        for i in range(n)
+        [(qi * eps) ** (1.0 / ai) * cmath.exp(2j * math.pi * k / ai) for k in range(ai)]
+        for qi, ai in zip(line.q, exps)
     ]
     labels = tuple(itertools.product(*[range(ai) for ai in exps]))
-    # index[i][k] is entry i of labels[k]: np.indices runs in itertools.product order
-    index = np.indices(exps).reshape(n, -1)
-    coords = np.empty((len(labels), n), dtype=complex)
-    values = np.zeros(len(labels), dtype=complex)
-    for i in range(n):
-        coords[:, i] = np.array(branch_coord[i]).take(index[i])
-        # complex addition acts on each part alone, so adding to 0j branch by branch
-        # gives the bits of a Python loop over each label
-        values += np.array(branch_value[i]).take(index[i])
-    result = CriticalPointSet(eps, labels, coords, values)
+    coords = np.array(list(itertools.product(*branch_coord)), dtype=complex)
+    result = CriticalPointSet(eps, labels, coords, _values_at(line, eps, coords))
     _validate_set(line, eps, result)
     return result
 
@@ -298,11 +283,10 @@ def _gradient(z: np.ndarray, exps: np.ndarray, eps_q: np.ndarray, eps_s, grads) 
 
 
 def _values_at(line: GenericLine, eps: complex, coords: np.ndarray) -> np.ndarray:
+    """Critical values f - eps*phi at the (mu, n) points: the Pham head, then the line's phi."""
     exps = np.array(line.a.a)
     head = (coords ** (exps + 1) / (exps + 1)).sum(axis=1)
-    lin = (coords * np.array(line.q)[None, :]).sum(axis=1)
-    tail = line.phi_tail.eval_batch(coords) if not line.phi_tail.is_zero() else 0.0
-    return head - eps * (lin + tail)
+    return head - eps * line.phi.eval_batch(coords)
 
 
 @cache

