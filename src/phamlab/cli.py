@@ -55,9 +55,10 @@ def _build_line(args, exponents: ExponentVector) -> GenericLine:
     if args.phi_json:
         with open(args.phi_json, encoding="utf-8") as handle:
             try:
-                phi = SparsePoly.from_json_dict(json.load(handle))
+                data = json.load(handle)
             except RecursionError:
                 raise ValueError(f"{args.phi_json}: JSON nested too deeply") from None
+        phi = SparsePoly.from_json_dict(data)
         line = _line_from_phi(exponents, phi)
     else:
         line = default_line(exponents, args.preset)

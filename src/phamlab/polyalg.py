@@ -100,8 +100,6 @@ class SparsePoly:
         return out
 
     def evaluate(self, z: Sequence[complex]) -> complex:
-        if len(z) != self.n_vars:
-            raise ValueError(f"point has {len(z)} coordinates, polynomial has {self.n_vars}")
         return complex(self.eval_batch([z])[0])
 
     def eval_batch(self, points: np.ndarray) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Each is checked byte for byte against a per-point reference kept here: the
 one-determinant-per-point Hessian over one-point eval_batch calls, the
-per-label closed-form coordinate loop and the built-in-abs zero threshold.  f - eps*phi, phi and derivatives are checked
-against a chain of validated constructions (linear part, sum, scaling,
-derivative).  These pin the contract, so they hold for the per-point code as well.
+per-label closed-form coordinate loop and the built-in-abs zero threshold.
+f - eps*phi, phi and derivatives are checked against a chain of validated
+constructions (linear part, sum, scaling, derivative).  These pin the
+contract, so they hold for the per-point code as well.
 """
 
 import cmath
@@ -76,7 +77,7 @@ def _reference_line_function(line, eps):
 
 
 def _reference_hessian_det_at(p, points):
-    """One one-point evaluation per entry and one np.linalg.det call per point."""
+    """A one-point eval_batch call per entry and one np.linalg.det call per point."""
     n = p.n_vars
     firsts = [_reference_diff(p, i) for i in range(n)]
     seconds = [[_reference_diff(firsts[i], j) for j in range(n)] for i in range(n)]
@@ -172,7 +173,7 @@ class TestHessianAgainstPerPoint:
             points = cps.coords.tolist()
             assert _dets_bits(hessian_det_at(f_eps, points)) == _dets_bits(_reference_hessian_det_at(f_eps, points))
 
-    def test_array_points_are_read_as_python_complex(self, sets):
+    def test_array_and_list_points_give_the_same_bits(self, sets):
         # an array caller gets the bits of the same points passed as a list
         name, line = LINES[-1]
         cps = sets[name][0]
