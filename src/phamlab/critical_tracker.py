@@ -13,10 +13,18 @@ All samples of a grid go through one batched homotopy (TrackedBatch), which
 retracks colliding samples with doubled steps; each sample keeps its own Newton
 stopping test, divergence check and collision floor, so its points are
 bit-identical to tracking it alone.  critical_set labels one sample's points.
-On at most 9 x 15 x 2 numbers a batched Newton iteration is per-call overhead,
-~170 us of which np.linalg.solve takes ~45.  That solve (LAPACK zgesv) and the
-uniform step grid stay: another solver, a predictor or other step counts would
-move the end-point bits, and with them every tracked output.
+
+Each step is a predictor-corrector step (Allgower and Georg, Introduction to
+Numerical Continuation Methods, ch. 2): Newton starts from the extrapolation
+of the sample's own last step ends, constant at step 1, linear at step 2 and
+quadratic from step 3 on, built from adds and subtracts only.  From that guess
+most steps stop after two Newton iterations, where the previous end took four.
+The stopping test, the iteration cap, the step grid and the solver (LAPACK
+zgesv, through np.linalg.solve) are the same as without a predictor.  On at most
+9 x 15 x 2 numbers a batched Newton iteration is per-call overhead, so the
+parts of the Newton system that do not change along a line (the tail gradient
+terms and the split of its Hessian into constant and varying entries) are
+worked out once per line, and each correction allocates its Jacobian once.
 
 A CriticalPointSet holds the labels in itertools.product order and the read-only
 (mu, n) coordinates and (mu,) critical values, row k belonging to labels[k].  A
@@ -139,6 +147,10 @@ class GenericLine:
         grads = tuple(self.phi_tail.diff(i) for i in range(n))
         hessians = tuple(tuple(grads[i].diff(j) for j in range(n)) for i in range(n))
         return grads, hessians
+
+    @cached_property
+    def _system(self) -> "_GradientSystem":
+        return _GradientSystem(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,16 +281,62 @@ def separable_critical_set(line: GenericLine, eps: complex) -> CriticalPointSet:
     return result
 
 
-def _gradient(z: np.ndarray, exps: np.ndarray, eps_q: np.ndarray, eps_s, grads) -> np.ndarray:
+_Terms = tuple[tuple[complex, tuple[tuple[int, int], ...]], ...]
+
+
+def _terms(poly: SparsePoly) -> _Terms:
+    """The terms of poly in order, each as its coefficient and its (variable, exponent > 0) factors."""
+    return tuple((coef, tuple((i, e) for i, e in enumerate(exp) if e)) for exp, coef in poly.terms.items())
+
+
+def _eval_terms(terms: _Terms, z: np.ndarray) -> np.ndarray:
+    """SparsePoly.eval_batch at the points z[..., k, :], from _terms and without its checks.
+
+    The operations are eval_batch's, in its order: 0 plus each term, a term being
+    its coefficient times the powers of its variables, so the bits are its too.
+    Some term must have a factor, or the result is a scalar.
+    """
+    out = 0j
+    for coef, factors in terms:
+        term = coef
+        for i, e in factors:
+            term = term * z[..., i] ** e
+        out = out + term
+    return out
+
+
+class _GradientSystem:
+    """The parts of a line's gradient system that stay the same along its homotopy.
+
+    gradient holds (i, terms) for every nonzero gradient entry of the tail.  Of
+    its nonzero Hessian entries, fixed holds (i, j, h) for each constant h and
+    varying (i, j, terms) for the others.
+    """
+
+    def __init__(self, line: GenericLine) -> None:
+        grads, hessians = line.tail_derivatives
+        n = line.n
+        self.exps = np.array(line.a.a)
+        self.q = np.array(line.q)
+        self.gradient = [(i, _terms(g)) for i, g in enumerate(grads) if not g.is_zero()]
+        self.fixed, self.varying = [], []
+        for i, j in itertools.product(range(n), repeat=2):
+            h = hessians[i][j]
+            if set(h.terms) == {(0,) * n}:
+                self.fixed.append((i, j, h.terms[(0,) * n]))
+            elif not h.is_zero():
+                self.varying.append((i, j, _terms(h)))
+
+
+def _gradient(z: np.ndarray, system: _GradientSystem, eps_q: np.ndarray, eps_s) -> np.ndarray:
     """Gradient of f - eps*phi_0 - eps*s*tail at the points z[..., k, :].
 
     eps_q holds the rows eps*q and eps_s the products eps*s, both broadcast
     against the point axis: a scalar for one sample, an (S, 1) column for S.
     """
-    g = z**exps - eps_q
-    for i, grad in enumerate(grads):
-        if not grad.is_zero():
-            g[..., i] -= eps_s * grad.eval_batch(z)
+    g = z**system.exps - eps_q
+    for i, terms in system.gradient:
+        g[..., i] -= eps_s * _eval_terms(terms, z)
     return g
 
 
@@ -322,8 +380,8 @@ def _validate_set(line: GenericLine, eps: complex, cps: CriticalPointSet) -> Non
             k = int(np.argmin(finite.reshape(mu, -1).all(axis=1)))
             raise TrackerError(f"non-finite critical {name} at label {cps.labels[k]}")
     residual_bound = GRADIENT_RESIDUAL_COEF * max(1.0, abs(eps))
-    grads, _ = line.tail_derivatives
-    g = _gradient(cps.coords, np.array(line.a.a), eps * np.array(line.q)[None, :], eps, grads)
+    system = line._system
+    g = _gradient(cps.coords, system, eps * system.q[None, :], eps)
     worst = float(np.sqrt((np.abs(g) ** 2).sum(axis=1)).max())
     # written so that a NaN fails each bound
     if not worst <= residual_bound:
@@ -335,40 +393,43 @@ def _validate_set(line: GenericLine, eps: complex, cps: CriticalPointSet) -> Non
 
 
 def _newton_correct(
-    line: GenericLine, exps: np.ndarray, eps_q: np.ndarray, eps_s: np.ndarray, z: np.ndarray
+    system: _GradientSystem, eps_q: np.ndarray, eps_s: np.ndarray, z: np.ndarray
 ) -> tuple[np.ndarray, list[Optional[NewtonDivergence]]]:
     """Newton-correct the (S, mu, n) points z of S samples at their own eps*q rows and eps*s.
 
     Each sample iterates until its own step test passes and is then left alone,
     so its rows see the same operations as when corrected by itself.  Returns
-    the points, stale for a failed sample, and per sample None or its error.
+    the points (z itself, written in place), stale for a failed sample, and per
+    sample None or its error.
     """
-    grads, hessians = line.tail_derivatives
-    n = line.n
+    exps = system.exps
+    n = len(exps)
     eps_s = eps_s[:, None]
-    # a constant Hessian entry h takes off the same eps*s*h in every iteration
-    fixed, varying = [], []
-    for i, j in itertools.product(range(n), repeat=2):
-        h = hessians[i][j]
-        if set(h.terms) == {(0,) * n}:
-            fixed.append((i, j, eps_s * h.eval_batch(z)))
-        elif not h.is_zero():
-            varying.append((i, j, h))
-    z = z.copy()
+    # the Jacobian is allocated once: a constant Hessian entry h takes off the
+    # same eps*s*h in every iteration, once and for all off the diagonal, and
+    # after each rewrite of the diagonal on it
+    jac = np.zeros(z.shape + (n,), dtype=complex)
+    on_diagonal = []
+    for i, j, h in system.fixed:
+        if i == j:
+            on_diagonal.append((i, eps_s * h))
+        else:
+            jac[..., i, j] -= eps_s * h
     errors: list[Optional[NewtonDivergence]] = [None] * len(z)
-    # za, eps_q, eps_s and fixed hold the rows of the samples in active; z is
-    # written back and they are gathered anew only when one of those stops
+    # za, jac, eps_q, eps_s and on_diagonal hold the rows of the samples in
+    # active; z is written back and they are gathered anew only when one of those stops
     active = np.arange(len(z))
     za = z
     for _ in range(NEWTON_MAX_ITERATIONS):
-        g = _gradient(za, exps, eps_q, eps_s, grads)
-        jac = np.zeros(za.shape + (n,), dtype=complex)
+        g = _gradient(za, system, eps_q, eps_s)
         for i in range(n):
             jac[..., i, i] = exps[i] * za[..., i] ** (exps[i] - 1)
-        for i, j, h in varying:
-            jac[..., i, j] -= eps_s * h.eval_batch(za)
-        for i, j, product in fixed:
-            jac[..., i, j] -= product
+        for i, j, terms in system.varying:
+            if i != j:
+                jac[..., i, j] = 0
+            jac[..., i, j] -= eps_s * _eval_terms(terms, za)
+        for i, product in on_diagonal:
+            jac[..., i, i] -= product
         solved = True  # or, if some Jacobian is singular, the samples whose one is not
         try:
             delta = np.linalg.solve(jac, g[..., None])[..., 0]
@@ -400,11 +461,26 @@ def _newton_correct(
         active = active[keep]
         if not active.size:
             return z, errors
-        za, eps_q, eps_s = za[keep], eps_q[keep], eps_s[keep]
-        fixed = [(i, j, product[keep]) for i, j, product in fixed]
+        za, jac, eps_q, eps_s = za[keep], jac[keep], eps_q[keep], eps_s[keep]
+        on_diagonal = [(i, product[keep]) for i, product in on_diagonal]
     for s in active:
         errors[s] = NewtonDivergence(f"no convergence in {NEWTON_MAX_ITERATIONS} iterations")
     return z, errors
+
+
+def _predict(ends: list[np.ndarray]) -> np.ndarray:
+    """Start of the next Newton correction from the last (up to) three step ends, oldest first.
+
+    The start point itself at step 1, the linear guess 2*z_1 - z_0 at step 2 and
+    the quadratic one 3*(z_{k-1} - z_{k-2}) + z_{k-3} from step 3 on, in adds and
+    subtracts only.  Each entry depends only on the same entry of each end.
+    """
+    if len(ends) == 1:
+        return ends[0].copy()
+    if len(ends) == 2:
+        return ends[1] + ends[1] - ends[0]
+    d = ends[2] - ends[1]
+    return d + d + d + ends[0]
 
 
 def _run_homotopy(
@@ -413,35 +489,39 @@ def _run_homotopy(
     """Step S samples from t = 0 to 1 over a uniform grid of ``steps`` steps.
 
     floor holds each sample's collision floors in _pairwise_distances order.
-    A sample stops at its first Newton failure or path collision.  Returns
-    the end points and, per sample, None or the error that stopped it.
+    Each step's Newton correction starts from _predict over the sample's own
+    step ends.  A sample stops at its first Newton failure or path collision.
+    Returns the end points and, per sample, None or the error that stopped it.
     """
-    z = start.copy()
+    system = line._system
     errors: list[Optional[TrackerError]] = [None] * len(eps)
-    exps = np.array(line.a.a)
-    eps_q = eps[:, None, None] * np.array(line.q)
+    eps_q = eps[:, None, None] * system.q
     live = np.arange(len(eps))
+    ends = [start]  # the last (up to) three step ends of the live samples, oldest first
     for k in range(1, steps + 1):
-        corrected, failures = _newton_correct(line, exps, eps_q[live], eps[live] * (k / steps), z[live])
+        corrected, failures = _newton_correct(system, eps_q[live], eps[live] * (k / steps), _predict(ends))
+        ends = ends[-2:] + [corrected]
         if any(failures):
             for s, err in zip(live, failures):
                 errors[s] = err
             ok = np.array([err is None for err in failures], dtype=bool)
-            live, corrected = live[ok], corrected[ok]
-        z[live] = corrected
-        dist = _pairwise_distances(corrected)
+            live, ends = live[ok], [end[ok] for end in ends]
+        dist = _pairwise_distances(ends[-1])
         close = dist < floor[live]
         collided = close.any(axis=1)
-        for m in np.flatnonzero(collided):
-            pairs = np.flatnonzero(close[m])
-            worst = pairs[int((dist[m, pairs] / floor[live[m], pairs]).argmin())]
-            rows, cols = _pairs(corrected.shape[1])
-            errors[live[m]] = PathCollision(
-                f"points {rows[worst]} and {cols[worst]} collided at homotopy step {k}/{steps}"
-            )
-        live = live[~collided]
+        if collided.any():
+            rows, cols = _pairs(start.shape[1])
+            for m in np.flatnonzero(collided):
+                pairs = np.flatnonzero(close[m])
+                worst = pairs[int((dist[m, pairs] / floor[live[m], pairs]).argmin())]
+                errors[live[m]] = PathCollision(
+                    f"points {rows[worst]} and {cols[worst]} collided at homotopy step {k}/{steps}"
+                )
+            live, ends = live[~collided], [end[~collided] for end in ends]
         if not live.size:
             break
+    z = start.copy()  # a stopped sample keeps its start points, which nothing reads
+    z[live] = ends[-1]
     return z, errors
 
 

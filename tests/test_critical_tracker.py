@@ -393,10 +393,21 @@ def _reference_newton(line, eps, s, coords):
     raise NewtonDivergence(f"no convergence in {NEWTON_MAX_ITERATIONS} iterations")
 
 
+def _reference_guess(ends):
+    """The predictor: start point, then linear, then quadratic extrapolation of the step ends."""
+    if len(ends) == 1:
+        return ends[0]
+    if len(ends) == 2:
+        return ends[1] + ends[1] - ends[0]
+    d = ends[2] - ends[1]
+    return d + d + d + ends[0]
+
+
 def _reference_homotopy(line, eps, start, steps, floor):
-    z = start.copy()
+    ends = [start]
     for k in range(1, steps + 1):
-        z = _reference_newton(line, eps, k / steps, z)
+        z = _reference_newton(line, eps, k / steps, _reference_guess(ends))
+        ends = ends[-2:] + [z]
         dist = _reference_distances(z)
         if (dist < floor).any():
             i, j = np.unravel_index(int((dist / floor).argmin()), dist.shape)
