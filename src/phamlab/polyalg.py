@@ -100,21 +100,26 @@ class SparsePoly:
         return out
 
     def evaluate(self, z: Sequence[complex]) -> complex:
-        return complex(self.eval_batch([z])[0])
+        return complex(self.eval_batch(z))
 
     def eval_batch(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at an (..., n_vars) array of complex points."""
+        """Evaluate at an (..., n_vars) array of complex points.
+
+        The points are evaluated as one (N, n_vars) array, so a point gets the
+        same bits whatever the leading shape, a single (n_vars,) point included.
+        """
         points = np.asarray(points, dtype=complex)
         if points.ndim < 1 or points.shape[-1] != self.n_vars:
             raise ValueError("expected an (..., n_vars) array")
-        out = np.zeros(points.shape[:-1], dtype=complex)
+        flat = points.reshape(-1, self.n_vars)
+        out = np.zeros(len(flat), dtype=complex)
         for exp, coef in self.terms.items():
             term = np.full(out.shape, coef, dtype=complex)
             for i, e in enumerate(exp):
                 if e:
-                    term = term * points[..., i] ** e
+                    term = term * flat[:, i] ** e
             out += term
-        return out
+        return out.reshape(points.shape[:-1])
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SparsePoly":

@@ -51,6 +51,21 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=r"\(\.\.\., n_vars\)"):
             p.eval_batch(pts[..., :1])
 
+    def test_single_point_has_the_bits_of_a_batched_point(self):
+        # a lone (n,) point once ran numpy's scalar arithmetic, which rounds a
+        # complex product unlike the array loop
+        rng = np.random.default_rng(11)
+        terms = {}
+        while len(terms) < 8:
+            terms[tuple(int(e) for e in rng.integers(0, 4, size=3))] = complex(*rng.standard_normal(2))
+        p = SparsePoly(3, terms)
+        points = rng.standard_normal((200, 3)) + 1j * rng.standard_normal((200, 3))
+        batched = p.eval_batch(points)
+        alone = np.array([p.eval_batch(z) for z in points])
+        assert alone.tobytes() == batched.tobytes()
+        assert np.array([p.evaluate(z) for z in points]).tobytes() == batched.tobytes()
+        assert p.eval_batch(points.reshape(8, 25, 3)).tobytes() == batched.tobytes()
+
     def test_terms_are_kept_in_ascending_exponent_order(self):
         p = SparsePoly(2, {(2, 1): 1.0, (0, 3): 2.0, (1, 0): 3.0, (0, 0): 0.0})
         assert list(p.terms) == [(0, 3), (1, 0), (2, 1)]
