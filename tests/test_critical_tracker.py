@@ -310,6 +310,29 @@ class TestTracking:
         assert sorted(calls) == list(range(line.n))
 
 
+class TestIterationBudget:
+    """The predictor keeps a default-grid batch near two Newton iterations per step."""
+
+    @pytest.mark.parametrize(
+        "exps, preset", [((5, 3), "xy_coupled"), ((7, 5), "xy_coupled"), ((8,), "quadratic_1d")]
+    )
+    def test_batched_solves_per_step(self, monkeypatch, exps, preset):
+        solve = np.linalg.solve
+        calls = []
+
+        def counting(a, b):
+            calls.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        batch = TrackedBatch(default_line(exps, preset), EpsilonGrid().samples())
+        assert not any(isinstance(outcome, Exception) for outcome in batch.outcomes.values())
+        # every call solves a stack of samples: no Jacobian was singular
+        assert all(len(shape) == 4 for shape in calls)
+        # 4 solves per step without the predictor (128 in all), 92 to 97 with it
+        assert len(calls) <= 3.25 * DEFAULT_STEPS
+
+
 class TestLineFunction:
     def test_matches_manual_composition(self):
         line = default_line((3, 3), "xy_coupled")
