@@ -150,6 +150,7 @@ class GenericLine:
 
     @cached_property
     def _system(self) -> "_GradientSystem":
+        """What the Newton correction needs of the line, worked out once per line."""
         return _GradientSystem(self)
 
 

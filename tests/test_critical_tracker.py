@@ -521,6 +521,23 @@ class TestBatchedTracking:
             bits(_reference_track(line, eps)) for eps in samples
         ]
 
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize(
+        "exps, q, tail",
+        [
+            # Hessian entries 2*0.2*y + 2*0.5 and 2*0.2*x + 0.3: varying, with a constant term
+            ((5, 3), (1.0, 0.3), {(2, 1): 0.2, (2, 0): 0.5, (1, 1): 0.3}),
+            # the tail of the --phi-json golden: every nonzero Hessian entry varies
+            ((3, 3, 3), (1.0, 0.01, 0.0001), {(1, 1, 1): 0.003, (2, 1, 0): 0.002}),
+        ],
+    )
+    def test_varying_hessian_entries_bit_identical_to_one_at_a_time(self, exps, q, tail, grid):
+        line = GenericLine(ExponentVector(exps), q, SparsePoly(len(exps), tail))
+        samples = GRIDS[grid].samples()
+        assert list(map(bits, _tracked_sets(line, samples))) == [
+            bits(_reference_track(line, eps)) for eps in samples
+        ]
+
     @pytest.mark.parametrize("coefficient, ascending", [(80.0, False), (80.0, True), (2.0, True)])
     def test_first_failing_sample_raises(self, coefficient, ascending):
         # the wild tail of test_precheck_rejects_wild_tail fails the precheck at
