@@ -22,9 +22,9 @@ most steps stop after two Newton iterations, where the previous end took four.
 The stopping test, the iteration cap, the step grid and the solver (LAPACK
 zgesv, through np.linalg.solve) are the same as without a predictor.  On at most
 9 x 15 x 2 numbers a batched Newton iteration is per-call overhead, so the
-parts of the Newton system that do not change along a line (the tail gradient
-terms and the split of its Hessian into constant and varying entries) are
-worked out once per line, and each correction allocates its Jacobian once.
+parts of the Newton system that do not change along a line (the nonzero tail
+gradient entries and the split of its Hessian into constant and varying
+entries) are worked out once per line.
 
 A CriticalPointSet holds the labels in itertools.product order and the read-only
 (mu, n) coordinates and (mu,) critical values, row k belonging to labels[k].  A
@@ -282,36 +282,12 @@ def separable_critical_set(line: GenericLine, eps: complex) -> CriticalPointSet:
     return result
 
 
-_Terms = tuple[tuple[complex, tuple[tuple[int, int], ...]], ...]
-
-
-def _terms(poly: SparsePoly) -> _Terms:
-    """The terms of poly in order, each as its coefficient and its (variable, exponent > 0) factors."""
-    return tuple((coef, tuple((i, e) for i, e in enumerate(exp) if e)) for exp, coef in poly.terms.items())
-
-
-def _eval_terms(terms: _Terms, z: np.ndarray) -> np.ndarray:
-    """SparsePoly.eval_batch at the points z[..., k, :], from _terms and without its checks.
-
-    The operations are eval_batch's, in its order: 0 plus each term, a term being
-    its coefficient times the powers of its variables, so the bits are its too.
-    Some term must have a factor, or the result is a scalar.
-    """
-    out = 0j
-    for coef, factors in terms:
-        term = coef
-        for i, e in factors:
-            term = term * z[..., i] ** e
-        out = out + term
-    return out
-
-
 class _GradientSystem:
     """The parts of a line's gradient system that stay the same along its homotopy.
 
-    gradient holds (i, terms) for every nonzero gradient entry of the tail.  Of
-    its nonzero Hessian entries, fixed holds (i, j, h) for each constant h and
-    varying (i, j, terms) for the others.
+    gradient holds (i, g) for every nonzero gradient polynomial g of the tail.
+    Of its nonzero Hessian entries, fixed holds (i, j, h) for each constant h and
+    varying (i, j, poly) for the others.
     """
 
     def __init__(self, line: GenericLine) -> None:
@@ -319,14 +295,14 @@ class _GradientSystem:
         n = line.n
         self.exps = np.array(line.a.a)
         self.q = np.array(line.q)
-        self.gradient = [(i, _terms(g)) for i, g in enumerate(grads) if not g.is_zero()]
+        self.gradient = [(i, g) for i, g in enumerate(grads) if not g.is_zero()]
         self.fixed, self.varying = [], []
         for i, j in itertools.product(range(n), repeat=2):
             h = hessians[i][j]
             if set(h.terms) == {(0,) * n}:
                 self.fixed.append((i, j, h.terms[(0,) * n]))
             elif not h.is_zero():
-                self.varying.append((i, j, _terms(h)))
+                self.varying.append((i, j, h))
 
 
 def _gradient(z: np.ndarray, system: _GradientSystem, eps_q: np.ndarray, eps_s) -> np.ndarray:
@@ -336,8 +312,8 @@ def _gradient(z: np.ndarray, system: _GradientSystem, eps_q: np.ndarray, eps_s) 
     against the point axis: a scalar for one sample, an (S, 1) column for S.
     """
     g = z**system.exps - eps_q
-    for i, terms in system.gradient:
-        g[..., i] -= eps_s * _eval_terms(terms, z)
+    for i, poly in system.gradient:
+        g[..., i] -= eps_s * poly.eval_batch(z)
     return g
 
 
@@ -406,31 +382,20 @@ def _newton_correct(
     exps = system.exps
     n = len(exps)
     eps_s = eps_s[:, None]
-    # the Jacobian is allocated once: a constant Hessian entry h takes off the
-    # same eps*s*h in every iteration, once and for all off the diagonal, and
-    # after each rewrite of the diagonal on it
-    jac = np.zeros(z.shape + (n,), dtype=complex)
-    on_diagonal = []
-    for i, j, h in system.fixed:
-        if i == j:
-            on_diagonal.append((i, eps_s * h))
-        else:
-            jac[..., i, j] -= eps_s * h
     errors: list[Optional[NewtonDivergence]] = [None] * len(z)
-    # za, jac, eps_q, eps_s and on_diagonal hold the rows of the samples in
-    # active; z is written back and they are gathered anew only when one of those stops
+    # za, eps_q and eps_s hold the rows of the samples in active; z is written
+    # back and they are gathered anew only when one of those stops
     active = np.arange(len(z))
     za = z
     for _ in range(NEWTON_MAX_ITERATIONS):
         g = _gradient(za, system, eps_q, eps_s)
+        jac = np.zeros(za.shape + (n,), dtype=complex)
         for i in range(n):
             jac[..., i, i] = exps[i] * za[..., i] ** (exps[i] - 1)
-        for i, j, terms in system.varying:
-            if i != j:
-                jac[..., i, j] = 0
-            jac[..., i, j] -= eps_s * _eval_terms(terms, za)
-        for i, product in on_diagonal:
-            jac[..., i, i] -= product
+        for i, j, h in system.fixed:
+            jac[..., i, j] -= eps_s * h
+        for i, j, poly in system.varying:
+            jac[..., i, j] -= eps_s * poly.eval_batch(za)
         solved = True  # or, if some Jacobian is singular, the samples whose one is not
         try:
             delta = np.linalg.solve(jac, g[..., None])[..., 0]
@@ -462,8 +427,7 @@ def _newton_correct(
         active = active[keep]
         if not active.size:
             return z, errors
-        za, jac, eps_q, eps_s = za[keep], jac[keep], eps_q[keep], eps_s[keep]
-        on_diagonal = [(i, product[keep]) for i, product in on_diagonal]
+        za, eps_q, eps_s = za[keep], eps_q[keep], eps_s[keep]
     for s in active:
         errors[s] = NewtonDivergence(f"no convergence in {NEWTON_MAX_ITERATIONS} iterations")
     return z, errors

@@ -114,7 +114,7 @@ class SparsePoly:
         flat = points.reshape(-1, self.n_vars)
         out = np.zeros(len(flat), dtype=complex)
         for exp, coef in self.terms.items():
-            term = np.full(out.shape, coef, dtype=complex)
+            term = coef  # coef * power rounds as an array of coef times power does
             for i, e in enumerate(exp):
                 if e:
                     term = term * flat[:, i] ** e
