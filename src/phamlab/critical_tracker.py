@@ -12,7 +12,8 @@ Newton correction of the gradient system, inheriting labels from the start.
 All samples of a grid go through one batched homotopy (TrackedBatch), which
 retracks colliding samples with doubled steps; each sample keeps its own Newton
 stopping test, divergence check and collision floor, so its points are
-bit-identical to tracking it alone.  critical_set labels one sample's points.
+bit-identical to tracking it alone.  critical_set(batch, eps) alone picks the
+closed form (empty tail) or the tracked set of one sample's labelled points.
 
 Each step is a predictor-corrector step (Allgower and Georg, Introduction to
 Numerical Continuation Methods, ch. 2): Newton starts from the extrapolation
@@ -24,7 +25,7 @@ zgesv, through np.linalg.solve) are the same as without a predictor.  On at most
 9 x 15 x 2 numbers a batched Newton iteration is per-call overhead, so the
 parts of the Newton system that do not change along a line (the nonzero tail
 gradient entries and the split of its Hessian into constant and varying
-entries) are worked out once per line.
+entries) are worked out once per line, where the tail is differentiated.
 
 A CriticalPointSet holds the labels in itertools.product order and the read-only
 (mu, n) coordinates and (mu,) critical values, row k belonging to labels[k].  A
@@ -139,14 +140,6 @@ class GenericLine:
         """q_1 z_1 + ... + q_n z_n + tail, built and checked once per line."""
         unit = [(0,) * i + (1,) + (0,) * (self.n - 1 - i) for i in range(self.n)]
         return SparsePoly(self.n, {**dict(zip(unit, self.q)), **self.phi_tail.terms})
-
-    @cached_property
-    def tail_derivatives(self) -> tuple[tuple[SparsePoly, ...], tuple[tuple[SparsePoly, ...], ...]]:
-        """Gradient and Hessian polynomials of the tail, differentiated once per line."""
-        n = self.n
-        grads = tuple(self.phi_tail.diff(i) for i in range(n))
-        hessians = tuple(tuple(grads[i].diff(j) for j in range(n)) for i in range(n))
-        return grads, hessians
 
     @cached_property
     def _system(self) -> "_GradientSystem":
@@ -268,7 +261,7 @@ def separable_critical_set(line: GenericLine, eps: complex) -> CriticalPointSet:
     as for a tracked set.
     """
     if not line.phi_tail.is_zero():
-        raise ValueError("closed-form point set needs an empty tail; use track_to_phi")
+        raise ValueError("closed-form point set needs an empty tail; use critical_set with a TrackedBatch")
     eps = _check_eps(eps)
     exps = line.a.a
     branch_coord = [
@@ -286,19 +279,19 @@ class _GradientSystem:
     """The parts of a line's gradient system that stay the same along its homotopy.
 
     gradient holds (i, g) for every nonzero gradient polynomial g of the tail.
-    Of its nonzero Hessian entries, fixed holds (i, j, h) for each constant h and
-    varying (i, j, poly) for the others.
+    Of the nonzero Hessian entries, the derivatives of those, fixed holds
+    (i, j, h) for each constant h and varying (i, j, poly) for the others.
     """
 
     def __init__(self, line: GenericLine) -> None:
-        grads, hessians = line.tail_derivatives
         n = line.n
         self.exps = np.array(line.a.a)
         self.q = np.array(line.q)
+        grads = (line.phi_tail.diff(i) for i in range(n))
         self.gradient = [(i, g) for i, g in enumerate(grads) if not g.is_zero()]
         self.fixed, self.varying = [], []
-        for i, j in itertools.product(range(n), repeat=2):
-            h = hessians[i][j]
+        for (i, g), j in itertools.product(self.gradient, range(n)):
+            h = g.diff(j)
             if set(h.terms) == {(0,) * n}:
                 self.fixed.append((i, j, h.terms[(0,) * n]))
             elif not h.is_zero():
@@ -498,14 +491,11 @@ def _collision_floor(line: GenericLine, eps: complex, coords0: np.ndarray) -> np
     """
     dist0 = _pairwise_distances(coords0)
     min_gap = float(dist0.min())
-    grads, _ = line.tail_derivatives
     # predicted per-step Newton correction: tail forcing over the diagonal
     # Jacobian scale, divided across the homotopy steps
     basin = 0.0
-    for i, ai in enumerate(line.a):
-        g = grads[i]
-        if g.is_zero():
-            continue
+    for i, g in line._system.gradient:
+        ai = line.a.a[i]
         forcing = float(np.abs(g.eval_batch(coords0)).max()) * abs(eps)
         jac_scale = ai * abs(line.q[i] * eps) ** ((ai - 1) / ai)
         basin = max(basin, forcing / jac_scale / DEFAULT_STEPS)
@@ -560,39 +550,28 @@ class TrackedBatch:
                 break
 
 
-def track_to_phi(
-    line: GenericLine, eps: complex, batch: Optional[TrackedBatch] = None
-) -> CriticalPointSet:
-    """Track the labelled points of one sample from the linear direction to the full phi.
+def track_to_phi(batch: TrackedBatch, eps: complex) -> CriticalPointSet:
+    """The labelled points of one sample of the batch, tracked from the linear direction to phi.
 
     The family f - eps*(phi_0 + t*tail) is stepped over a uniform t-grid of
     DEFAULT_STEPS steps with Newton correction of the gradient system; labels
     are inherited from t = 0.  Paths that collide are retracked with doubled
-    steps, up to three doublings.  ``batch``, built over samples that include
-    eps, supplies the path ends; without it eps is tracked alone.  An empty
-    tail needs no tracking and gets the closed form.
+    steps, up to three doublings.  eps must be one of the batch's samples.
     """
-    if line.phi_tail.is_zero():
-        return separable_critical_set(line, eps)
-    if batch is None:
-        batch = TrackedBatch(line, [eps])
-    elif batch.line != line:
-        raise ValueError("the batch was tracked on another line")
     if eps not in batch.outcomes:
         raise ValueError(f"eps {eps} was not tracked in this batch")
     outcome = batch.outcomes[eps]
     if isinstance(outcome, Exception):
         raise outcome
+    line = batch.line
     start, coords = outcome
     result = CriticalPointSet(start.epsilon, start.labels, coords, _values_at(line, start.epsilon, coords))
     _validate_set(line, start.epsilon, result)
     return result
 
 
-def critical_set(
-    line: GenericLine, eps: complex, batch: Optional[TrackedBatch] = None
-) -> CriticalPointSet:
-    """Closed form for empty tails, homotopy tracking otherwise."""
-    if line.phi_tail.is_zero():
-        return separable_critical_set(line, eps)
-    return track_to_phi(line, eps, batch)
+def critical_set(batch: TrackedBatch, eps: complex) -> CriticalPointSet:
+    """The set at one sample of the batch: closed form for an empty tail, tracked otherwise."""
+    if batch.line.phi_tail.is_zero():
+        return separable_critical_set(batch.line, eps)
+    return track_to_phi(batch, eps)

@@ -4,9 +4,10 @@ The restriction of each discriminant product to a ray behaves as
 const * eps^d as eps -> 0; d is recovered by log-log slope fitting over a
 geometric grid, extrapolated with a geometric-correction (Aitken) step, and
 snapped to the nearest admissible value.  Totals snap to integers: restricted
-to a line the products are single-valued holomorphic functions.  Individual
-factors snap to the rational exponents 1 + 1/a_j and 1 + 1/a_i + 1/a_j that
-the depth hierarchy allows.
+to a line the products are single-valued holomorphic functions.  An estimate
+judges only its own snap; the report row (_row) alone compares it with a closed
+form.  Individual factors snap to the rational exponents 1 + 1/a_j and
+1 + 1/a_i + 1/a_j that the depth hierarchy allows.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class DegreeEstimate:
-    """Slope fit of one product's decay order, snapped and judged."""
+    """Slope fit of one product's decay order, snapped to an integer and judged on that snap alone."""
 
     kind: Kind
     eps_magnitudes: tuple[float, ...]
@@ -134,18 +135,6 @@ class DegreeEstimate:
     residual: float
     verdict: Verdict
     hint: Optional[str] = None
-
-
-def _predicted_total_degree(a: ExponentsLike, kind: Kind) -> Optional[int]:
-    ev = _ev(a)
-    if kind is Kind.D_PAIR:
-        return l_value(ev)
-    if kind is Kind.HESSIAN:
-        return caustic_multiplicity(ev)
-    if kind is Kind.Y_TRIPLE:
-        return mixed_stokes_multiplicity(ev)
-    pure = pure_stokes_multiplicity(ev)
-    return 2 * pure if pure is not None else None
 
 
 def _format_label(label) -> str:
@@ -195,11 +184,10 @@ def _non_monotone_beyond(slopes: Sequence[float], spread: float) -> bool:
     return max(slopes) - min(slopes) > spread
 
 
-def estimate_from_trace(trace: LogProductTrace, kind: Kind, a: ExponentsLike) -> DegreeEstimate:
-    ev = _ev(a)
+def estimate_from_trace(trace: LogProductTrace, kind: Kind) -> DegreeEstimate:
+    """Judge the fit alone: Match when the Aitken value lies within MATCH_TOLERANCE of an integer."""
     mags = tuple(abs(e) for e in trace.epsilon_samples)
     totals = tuple(trace.totals(kind))
-    predicted = _predicted_total_degree(ev, kind)
     slopes: tuple[float, ...] = ()
     extrapolated, snapped, residual, hint = math.nan, None, math.nan, None
     if trace.has_zero(kind):
@@ -213,10 +201,7 @@ def estimate_from_trace(trace: LogProductTrace, kind: Kind, a: ExponentsLike) ->
             extrapolated = _aitken_limit(slopes)
             snapped = round(extrapolated)
             residual = abs(extrapolated - snapped)
-            if residual <= MATCH_TOLERANCE and (predicted is None or snapped == predicted):
-                verdict = Verdict.MATCH
-            else:
-                verdict = Verdict.MISMATCH
+            verdict = Verdict.MATCH if residual <= MATCH_TOLERANCE else Verdict.MISMATCH
     return DegreeEstimate(
         kind=kind,
         eps_magnitudes=mags,
@@ -232,7 +217,7 @@ def estimate_from_trace(trace: LogProductTrace, kind: Kind, a: ExponentsLike) ->
 
 def estimate_degree(line: GenericLine, kind: Kind, grid: EpsilonGrid = EpsilonGrid()) -> DegreeEstimate:
     trace = evaluate_trace(line, grid.samples(), [kind])
-    return estimate_from_trace(trace, kind, line.a)
+    return estimate_from_trace(trace, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +392,7 @@ def cluster_scaling(
         raise ValueError("the two magnitudes must differ")
     samples = [m * _ray(phase) for m in (m1, m2)]
     batch = TrackedBatch(line, samples)
-    sets = [critical_set(line, eps, batch) for eps in samples]
+    sets = [critical_set(batch, eps) for eps in samples]
     v1, v2 = (s.values.tolist() for s in sets)
     dlog = math.log(m1) - math.log(m2)
     exps = line.a.a
@@ -498,7 +483,7 @@ def verify_all(
     if pure is not None:
         kinds.append(Kind.OMEGA_QUAD)
     trace = evaluate_trace(line, grid.samples(), kinds)
-    estimates = {kind: estimate_from_trace(trace, kind, ev) for kind in kinds}
+    estimates = {kind: estimate_from_trace(trace, kind) for kind in kinds}
 
     pair, hessian = estimates[Kind.D_PAIR], estimates[Kind.HESSIAN]
     rows = (

@@ -412,5 +412,5 @@ def evaluate_trace(
     """
     kinds = list(kinds)
     batch = TrackedBatch(line, eps_samples)
-    samples = tuple(products_at(line, critical_set(line, eps, batch), kinds) for eps in eps_samples)
+    samples = tuple(products_at(line, critical_set(batch, eps), kinds) for eps in eps_samples)
     return LogProductTrace(tuple(eps_samples), samples)

@@ -23,10 +23,10 @@ from phamlab.closed_forms import (
 )
 from phamlab.critical_tracker import (
     GenericLine,
+    TrackedBatch,
     critical_set,
     default_line,
     separable_critical_set,
-    track_to_phi,
 )
 from phamlab.degree_lab import (
     EpsilonGrid,
@@ -54,6 +54,11 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 
 def _rows(report):
     return {r.quantity: r for r in report.rows}
+
+
+def _alone(line, eps):
+    """The critical set of one sample, tracked in a batch of its own."""
+    return critical_set(TrackedBatch(line, [eps]), eps)
 
 
 def test_criterion_1_closed_form_identity_suite():
@@ -235,7 +240,7 @@ def test_criterion_8_property_suites():
         line = default_line(a, preset)
         for mag in (1e-2, 1e-4):
             eps = mag * cmath.exp(0.37j)
-            cps = critical_set(line, eps)
+            cps = _alone(line, eps)
             grads = [line.phi.diff(i) for i in range(line.n)]
             for coords in cps.coords:
                 parts = [
@@ -250,7 +255,7 @@ def test_criterion_8_property_suites():
     eps = 1e-3 * cmath.exp(0.37j)
     plain = separable_critical_set(default_line(a), eps)
     flat = dict(zip(plain.labels, plain.values.tolist()))
-    bent = track_to_phi(GenericLine(default_line(a).a, (1.0, 0.3), SparsePoly(2, {(2, 0): 0.5})), eps)
+    bent = _alone(GenericLine(default_line(a).a, (1.0, 0.3), SparsePoly(2, {(2, 0): 0.5})), eps)
     curved = dict(zip(bent.labels, bent.values.tolist()))
     for k in range(5):
         group = [(k, l) for l in range(3)]

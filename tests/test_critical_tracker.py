@@ -38,7 +38,12 @@ EPS = 1e-3 * cmath.exp(0.37j)
 def _tracked_sets(line, samples):
     """critical_set at every sample, all tracked in one batch."""
     batch = TrackedBatch(line, samples)
-    return [critical_set(line, eps, batch) for eps in samples]
+    return [critical_set(batch, eps) for eps in samples]
+
+
+def _alone(line, eps):
+    """The critical set of one sample, tracked in a batch of its own."""
+    return critical_set(TrackedBatch(line, [eps]), eps)
 
 
 def bits(cps):
@@ -185,7 +190,7 @@ class TestSeparable:
 class TestPointArrays:
     @pytest.mark.parametrize("preset", ["linear", "xy_coupled"])
     def test_fields_are_aligned_and_read_only(self, preset):
-        cps = critical_set(default_line((3, 3), preset), EPS)
+        cps = _alone(default_line((3, 3), preset), EPS)
         assert cps.labels == tuple(itertools.product(range(3), range(3)))
         assert cps.coords.shape == (9, 2) and cps.coords.dtype == complex
         assert cps.values.shape == (9,) and cps.values.dtype == complex
@@ -207,7 +212,7 @@ class TestPointArrays:
     @pytest.mark.parametrize("preset", ["linear", "xy_coupled"])
     def test_validator_rejects_non_finite_points(self, preset):
         line = default_line((3, 3), preset)
-        cps = critical_set(line, EPS)
+        cps = _alone(line, EPS)
         for field, k in (("coordinate", 4), ("value", 7)):
             coords, values = cps.coords.copy(), cps.values.copy()
             if field == "coordinate":
@@ -226,17 +231,13 @@ class TestPointArrays:
 
 
 class TestTracking:
-    def test_empty_tail_short_circuits(self):
-        line = default_line((3, 3))
-        assert bits(track_to_phi(line, EPS)) == bits(separable_critical_set(line, EPS))
-
     def test_quadratic_displacement_scaling(self):
         # displacement from the linear-direction partner should scale as
         # |eps|^(1/4 + 1/4) for a = (4)
         line = default_line((4,), "quadratic_1d")
         disps = []
         for eps in (EPS, EPS / 4):
-            tracked = by_label(track_to_phi(line, eps))
+            tracked = by_label(_alone(line, eps))
             base = by_label(separable_critical_set(default_line((4,)), eps))
             disps.append(max(abs(tracked[l][0][0] - base[l][0][0]) for l in base))
         slope = math.log(disps[0] / disps[1]) / math.log(4)
@@ -245,7 +246,7 @@ class TestTracking:
 
     def test_xy_coupled_bijective_labels(self):
         line = default_line((3, 3), "xy_coupled")
-        cps = track_to_phi(line, EPS)
+        cps = _alone(line, EPS)
         assert sorted(cps.labels) == [(i, j) for i in range(3) for j in range(3)]
         assert max(residuals(line, cps)) < 1e-11 * max(1.0, abs(EPS))
 
@@ -253,8 +254,8 @@ class TestTracking:
         # per-coordinate displacement decays at least as |eps|^(1/a_i + 1/a_1)
         line = default_line((3, 3), "xy_coupled")
         eps_hi, eps_lo = EPS, EPS / 4
-        hi = by_label(track_to_phi(line, eps_hi))
-        lo = by_label(track_to_phi(line, eps_lo))
+        hi = by_label(_alone(line, eps_hi))
+        lo = by_label(_alone(line, eps_lo))
         base_hi = by_label(separable_critical_set(default_line((3, 3)), eps_hi))
         base_lo = by_label(separable_critical_set(default_line((3, 3)), eps_lo))
         for i, ai in enumerate(line.a):
@@ -271,7 +272,7 @@ class TestTracking:
         plain = GenericLine(a, (1.0, 0.3), SparsePoly.zero(2))
         bent = GenericLine(a, (1.0, 0.3), tail)
         flat = by_label(separable_critical_set(plain, EPS))
-        curved = by_label(track_to_phi(bent, EPS))
+        curved = by_label(_alone(bent, EPS))
         for k in range(5):
             labels = [(k, l) for l in range(3)]
             for la in labels:
@@ -286,13 +287,14 @@ class TestTracking:
         a = ExponentVector((3, 3))
         wild = GenericLine(a, (1.0, 0.01), SparsePoly(2, {(1, 1): 80.0}))
         with pytest.raises(TrackerError):
-            track_to_phi(wild, 1e-2 * cmath.exp(0.37j))
+            _alone(wild, 1e-2 * cmath.exp(0.37j))
 
     def test_critical_set_dispatch(self):
         linear = default_line((3,))
-        assert bits(critical_set(linear, EPS)) == bits(separable_critical_set(linear, EPS))
+        assert bits(_alone(linear, EPS)) == bits(separable_critical_set(linear, EPS))
+        assert not TrackedBatch(linear, [EPS]).outcomes  # an empty tail is not tracked
         coupled = default_line((3, 3), "xy_coupled")
-        assert len(critical_set(coupled, EPS).labels) == 9
+        assert len(_alone(coupled, EPS).labels) == 9
 
     def test_tail_differentiated_once_per_line(self, monkeypatch):
         line = default_line((3, 3), "xy_coupled")
@@ -305,9 +307,25 @@ class TestTracking:
             return original(poly, var)
 
         monkeypatch.setattr(SparsePoly, "diff", counting)
-        critical_set(line, EPS)
-        critical_set(line, EPS / 10)
+        _alone(line, EPS)
+        _alone(line, EPS / 10)
         assert sorted(calls) == list(range(line.n))
+
+    def test_hessian_taken_of_nonzero_gradients_only(self, monkeypatch):
+        # a tail in the first variable alone, so one of its n gradients is zero
+        line = GenericLine(ExponentVector((5, 3)), (1.0, 0.3), SparsePoly(2, {(2, 0): 0.4}))
+        calls = []
+        original = SparsePoly.diff
+
+        def counting(poly, var):
+            calls.append(var)
+            return original(poly, var)
+
+        monkeypatch.setattr(SparsePoly, "diff", counting)
+        _alone(line, EPS)
+        # the empty tail of the linear start: n gradients and no Hessian entry;
+        # the tail: n gradients, then the n entries of the one nonzero Hessian row
+        assert calls == [0, 1] + [0, 1, 0, 1]
 
 
 class TestIterationBudget:
@@ -358,7 +376,7 @@ class TestRootFinderOracle:
     @pytest.mark.parametrize("magnitude", [1e-2, 1e-3, 1e-4])
     def test_tracked_points_are_the_gradient_roots(self, a, magnitude):
         eps = magnitude * cmath.exp(0.37j)
-        tracked = track_to_phi(default_line((a,), "quadratic_1d"), eps).coords[:, 0]
+        tracked = _alone(default_line((a,), "quadratic_1d"), eps).coords[:, 0]
         roots = np.array(univariate_roots([-eps, -2 * eps] + [0.0] * (a - 2) + [1.0]))
         dist = np.abs(tracked[:, None] - roots[None, :])
         nearest = dist.argmin(axis=1)
@@ -369,6 +387,12 @@ class TestRootFinderOracle:
 
 
 # -- reference: the per-sample tracker loop that batched tracking must match bit for bit --
+
+
+def _reference_derivatives(line):
+    """Gradient and Hessian polynomials of the tail, differentiated here and not by the tracker."""
+    grads = [line.phi_tail.diff(i) for i in range(line.n)]
+    return grads, [[g.diff(j) for j in range(line.n)] for g in grads]
 
 
 def _reference_gradient(z, exps, eps_q, eps_s, grads):
@@ -387,7 +411,7 @@ def _reference_distances(coords):
 
 
 def _reference_newton(line, eps, s, coords):
-    grads, hessians = line.tail_derivatives
+    grads, hessians = _reference_derivatives(line)
     exps = np.array(line.a.a)
     eps_q = eps * np.array(line.q)[None, :]
     eps_s = eps * s
@@ -447,7 +471,7 @@ def _reference_track(line, eps):
     if mu > 1:
         dist0 = _reference_distances(coords0)
         min_gap = float(dist0.min())
-        grads, _ = line.tail_derivatives
+        grads, _ = _reference_derivatives(line)
         basin = 0.0
         for i, ai in enumerate(line.a):
             g = grads[i]
@@ -557,15 +581,13 @@ class TestBatchedTracking:
         assert expected is not None
         assert _failure(lambda: _tracked_sets(wild, samples)) == expected
 
-    def test_batch_serves_only_its_own_line_and_samples(self):
+    def test_batch_serves_only_its_own_samples(self):
         line = default_line((3, 3), "xy_coupled")
         batch = TrackedBatch(line, [EPS, EPS / 10])
-        assert bits(track_to_phi(line, EPS / 10, batch)) == bits(track_to_phi(line, EPS / 10))
-        assert bits(critical_set(line, EPS, batch)) == bits(_reference_track(line, EPS))
+        assert bits(track_to_phi(batch, EPS / 10)) == bits(_alone(line, EPS / 10))
+        assert bits(critical_set(batch, EPS)) == bits(_reference_track(line, EPS))
         with pytest.raises(ValueError, match="not tracked in this batch"):
-            track_to_phi(line, EPS / 100, batch)
-        with pytest.raises(ValueError, match="another line"):
-            track_to_phi(jittered_line(line, 7), EPS, batch)
+            track_to_phi(batch, EPS / 100)
 
     def test_linear_line_uses_closed_forms(self):
         line = default_line((5, 3))
@@ -640,7 +662,7 @@ class TestBatchedNewtonFailures:
         monkeypatch.setattr(np.linalg, "solve", _failing_solve(mode, 0.25e-2 * line.q[1]))
         samples = EpsilonGrid().samples()
         batch = TrackedBatch(line, samples)
-        got = [_outcome(lambda: critical_set(line, eps, batch)) for eps in samples]
+        got = [_outcome(lambda: critical_set(batch, eps)) for eps in samples]
         alone = [_outcome(lambda: _reference_track(line, eps)) for eps in samples]
         assert got == alone
         assert got[:2] == [(NewtonDivergence, message)] * 2

@@ -22,12 +22,30 @@ from phamlab.degree_lab import (
     classify_factors,
     cluster_scaling,
     estimate_degree,
+    estimate_from_trace,
     expected_factor_histogram,
     slope_table_rows,
     verify_all,
 )
 from phamlab.discriminant_products import LogProduct, LogProductTrace, _IndexTable, evaluate_trace
 from phamlab.polyalg import SparsePoly
+
+
+def _one_factor_trace(exponent, mags):
+    """A D_pair trace of one factor decaying exactly as eps^exponent over the magnitudes."""
+    samples = tuple(
+        {
+            Kind.D_PAIR: LogProduct(
+                log,
+                None,
+                _IndexTable(Kind.D_PAIR, np.array([[0, 1]]), np.array([[0], [1]]), None),
+                np.array([math.exp(log), 0j]),
+                (0, 1),
+            )
+        }
+        for log in (exponent * math.log(m) for m in mags)
+    )
+    return LogProductTrace(mags, samples)
 
 
 class TestEpsilonGrid:
@@ -97,6 +115,13 @@ class TestEstimateDegree:
             est = estimate_degree(line, Kind.D_PAIR, EpsilonGrid(phase=phase))
             assert est.snapped == 8
             assert est.verdict is Verdict.MATCH
+
+    def test_estimate_judges_only_its_own_fit(self):
+        # an exact slope of 9 is a clean snap, although L = 8 at a = (3,): the
+        # comparison with the closed form is the report row's
+        est = estimate_from_trace(_one_factor_trace(9, (1e-2, 1e-3, 1e-4, 1e-5)), Kind.D_PAIR)
+        assert (est.snapped, est.verdict) == (9, Verdict.MATCH)
+        assert est.residual <= 1e-9
 
 
 class TestClassifyFactors:
@@ -249,21 +274,8 @@ class TestHistogramTotal:
 
     def test_non_integer_total_raises(self):
         # one factor decaying exactly as eps^(4/3) snaps cleanly to a non-integer total
-        mags = (1e-3, 1e-4)
-        samples = tuple(
-            {
-                Kind.D_PAIR: LogProduct(
-                    log,
-                    None,
-                    _IndexTable(Kind.D_PAIR, np.array([[0, 1]]), np.array([[0], [1]]), None),
-                    np.array([math.exp(log), 0j]),
-                    (0, 1),
-                )
-            }
-            for log in (4 / 3 * math.log(m) for m in mags)
-        )
         with pytest.raises(ValueError, match="4/3, not an integer"):
-            classify_factors(LogProductTrace(mags, samples), (3,))
+            classify_factors(_one_factor_trace(4 / 3, (1e-3, 1e-4)), (3,))
 
 
 class TestClusterScaling:
@@ -346,6 +358,21 @@ class TestVerifyAll:
         for r1, r2 in zip(base.rows, jittered.rows):
             assert r1.verdict == r2.verdict == "Match"
 
+    @pytest.mark.parametrize("a, preset", [((3,), "linear"), ((3, 3), "xy_coupled"), ((4,), "linear")])
+    def test_each_closed_form_evaluated_once(self, monkeypatch, a, preset):
+        # the estimates judge only their own fits, so the rows are the closed forms' one reader
+        names = ["caustic_multiplicity", "l_value", "mixed_stokes_multiplicity", "pure_stokes_multiplicity"]
+        calls = []
+        for name in names:
+
+            def counted(ev, name=name, original=getattr(degree_lab, name)):
+                calls.append(name)
+                return original(ev)
+
+            monkeypatch.setattr(degree_lab, name, counted)
+        verify_all(a, preset)
+        assert sorted(calls) == names
+
     def test_slope_table_rows(self):
         report = verify_all((3,))
         rows = slope_table_rows(report)
@@ -398,7 +425,7 @@ class TestDerivedRows:
         }
         for name, est in overrides.items():
             estimates[Kind[name]] = est
-        monkeypatch.setattr(degree_lab, "estimate_from_trace", lambda trace, kind, a: estimates[kind])
+        monkeypatch.setattr(degree_lab, "estimate_from_trace", lambda trace, kind: estimates[kind])
         return {r.quantity: r for r in verify_all((3,)).rows}
 
     def test_all_match(self, monkeypatch):
@@ -429,6 +456,8 @@ class TestDerivedRows:
     def test_odd_remainder_gives_half_integer_mismatch(self, monkeypatch):
         # D - 3C = 9 - 6 = 3 is odd, so the Maxwell snap is 1.5
         rows = self.rows(monkeypatch, D_PAIR=_synthetic(Kind.D_PAIR, Verdict.MATCH, 9, 9.02))
+        # a clean snap of 9 is judged against L = 8 in the row alone
+        assert (rows["pair_product_degree"].snapped, rows["pair_product_degree"].verdict) == (9, "Mismatch")
         row = rows["maxwell"]
         assert row.snapped == 1.5 and isinstance(row.snapped, float)
         assert row.estimate == pytest.approx(1.51)

@@ -12,7 +12,7 @@ import pytest
 
 from phamlab import discriminant_products
 from phamlab.closed_forms import binom12, binom22
-from phamlab.critical_tracker import CriticalPointSet, critical_set, default_line, line_function
+from phamlab.critical_tracker import CriticalPointSet, TrackedBatch, critical_set, default_line, line_function
 from phamlab.degree_lab import EpsilonGrid, verify_all
 from phamlab.discriminant_products import (
     ZERO_COEF,
@@ -29,6 +29,11 @@ from phamlab.discriminant_products import (
 from phamlab.polyalg import SparsePoly
 
 EPS = 1e-3 * cmath.exp(0.37j)
+
+
+def _alone(line, eps):
+    """The critical set of one sample, tracked in a batch of its own."""
+    return critical_set(TrackedBatch(line, [eps]), eps)
 
 
 class TestLogD:
@@ -129,7 +134,7 @@ class TestHessianProduct:
         mags = (1e-3, 1e-4)
         for mag in mags:
             eps = mag * cmath.exp(0.37j)
-            pts = critical_set(line, eps)
+            pts = _alone(line, eps)
             result = log_hessian_product(line_function(line, eps), pts)
             assert len(result.factors) == 3
             # product over the three branches of |3 z^2| is 27 |eps|^2
@@ -140,14 +145,14 @@ class TestHessianProduct:
 
     def test_morse_constant(self):
         line = default_line((1,))
-        pts = critical_set(line, 0.004)
+        pts = _alone(line, 0.004)
         result = log_hessian_product(line_function(line, 0.004), pts)
         assert result.total == pytest.approx(0.0, abs=1e-12)
 
     def test_differentiated_once_per_sample(self, monkeypatch):
         # the second derivatives are taken once for the sample, not once per point
         line = default_line((3, 3), "xy_coupled")
-        points = critical_set(line, EPS)
+        points = _alone(line, EPS)
         f_eps = line_function(line, EPS)
         calls = []
         original = SparsePoly.diff
@@ -168,7 +173,7 @@ class TestHessianProduct:
 class TestProductsAt:
     def test_kinds_and_counts(self):
         line = default_line((3, 3))
-        out = products_at(line, critical_set(line, EPS), list(Kind))
+        out = products_at(line, _alone(line, EPS), list(Kind))
         for kind in Kind:
             assert len(out[kind].factors) == factor_count(kind, 9)
 
@@ -177,12 +182,12 @@ class TestProductsAt:
         # the products of tracking each sample alone
         line = default_line((3, 2), "xy_coupled")
         samples = [m * cmath.exp(0.37j) for m in (1e-3, 10**-3.5, 1e-4)]
-        expected = [products_at(line, critical_set(line, eps), list(Kind)) for eps in samples]
+        expected = [products_at(line, _alone(line, eps), list(Kind)) for eps in samples]
         calls = []
 
-        def counted(line, eps, batch=None):
+        def counted(batch, eps):
             calls.append(eps)
-            return critical_set(line, eps, batch)
+            return critical_set(batch, eps)
 
         monkeypatch.setattr(discriminant_products, "critical_set", counted)
         trace = evaluate_trace(line, samples, list(Kind))
@@ -408,7 +413,7 @@ def assert_table_is(table, expected):
 @pytest.fixture(scope="module")
 def tracked_7_5_values():
     """Critical values of the tracked (7,5) xy_coupled set at EPS (mu = 35)."""
-    return critical_set(default_line((7, 5), "xy_coupled"), EPS).values
+    return _alone(default_line((7, 5), "xy_coupled"), EPS).values
 
 
 def kernel_magnitudes(kind, values):
@@ -539,7 +544,7 @@ class TestLogFunction:
         line = default_line(a, preset)
         samples = EpsilonGrid().samples()
         for eps in (samples[0], samples[-1]):
-            cps = critical_set(line, eps)
+            cps = _alone(line, eps)
             totals = evaluate_trace(line, [eps], list(Kind)).samples[0]
             with mpmath.workdps(50):
                 terms = oracle_terms(line, eps)
@@ -629,7 +634,7 @@ class TestChunkBoundaries:
 
     def test_hessian_product_does_not_depend_on_the_chunk(self, chunk):
         line = default_line((3, 3), "xy_coupled")
-        points, f_eps = critical_set(line, EPS), line_function(line, EPS)
+        points, f_eps = _alone(line, EPS), line_function(line, EPS)
         small = log_hessian_product(f_eps, points)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(discriminant_products, "_CHUNK", 1 << 20)

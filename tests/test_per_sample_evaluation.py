@@ -161,7 +161,7 @@ def sets():
     out = {}
     for name, line in LINES:
         batch = TrackedBatch(line, GRID.samples())
-        out[name] = [critical_set(line, eps, batch) for eps in GRID.samples()]
+        out[name] = [critical_set(batch, eps) for eps in GRID.samples()]
     return out
 
 
@@ -279,10 +279,10 @@ class TestSeparableAgainstPerLabel:
         line = jittered_line(default_line(a, preset), 5)
         samples = GRID.samples()
         batch = TrackedBatch(line, samples)
-        tracked = [_bits(critical_set(line, eps, batch)) for eps in samples]
+        tracked = [_bits(critical_set(batch, eps)) for eps in samples]
         monkeypatch.setattr(critical_tracker, "separable_critical_set", _reference_separable)
         batch = TrackedBatch(line, samples)
-        assert [_bits(critical_set(line, eps, batch)) for eps in samples] == tracked
+        assert [_bits(critical_set(batch, eps)) for eps in samples] == tracked
 
 
 class _RecordingNumpy:
