@@ -235,7 +235,7 @@ def cmd_trace(args) -> int:
         writer = csv.writer(handle)
         writer.writerow(["kind", "indices", "log_magnitude"])
         for start, logs in _log_chunks(product.table, product.values):
-            rows = product.rows[start : start + len(logs)].tolist()
+            rows = product.table.rows[start : start + len(logs)].tolist()
             writer.writerows(
                 (kind.value, " ".join([names[i] for i in row]), "ExactZero" if math.isnan(x) else repr(x))
                 for row, x in zip(rows, logs.tolist())

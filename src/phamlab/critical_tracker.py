@@ -556,8 +556,10 @@ def track_to_phi(batch: TrackedBatch, eps: complex) -> CriticalPointSet:
     The family f - eps*(phi_0 + t*tail) is stepped over a uniform t-grid of
     DEFAULT_STEPS steps with Newton correction of the gradient system; labels
     are inherited from t = 0.  Paths that collide are retracked with doubled
-    steps, up to three doublings.  eps must be one of the batch's samples.
+    steps, up to three doublings.  eps must be a sample of a batch with a tail.
     """
+    if batch.line.phi_tail.is_zero():
+        raise ValueError("phi has an empty tail, so nothing is tracked; critical_set gives its closed form")
     if eps not in batch.outcomes:
         raise ValueError(f"eps {eps} was not tracked in this batch")
     outcome = batch.outcomes[eps]

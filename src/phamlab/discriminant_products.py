@@ -14,44 +14,27 @@ away.
 
 All four products share one kernel: each factor is sum_k c_k * v[idx_k] with
 the coefficient row (1, -1), (2, -1, -1), (1, 1, -1, -1) or, over the Hessian
-determinants, (1,), over index rows in fixed lexicographic tuple order, which
-keeps traces byte-for-byte reproducible.  The index table depends only on
-(kind, mu).  The len(Kind) most recently used tables are kept, which covers
-every table of one trace, so its samples share each read-only:
-- rows: every tuple, in the smallest integer dtype that holds mu - 1;
-- columns: the forward rows, one per configuration, transposed, in that same
-  dtype, which the gathers read one chunk at a time with no widened copy;
-  a mirrored D or Omega configuration is the exact negation of one evaluated
-  once;
-- source: the forward row of every row, in the smallest unsigned dtype that
-  holds the forward count; None when every row is forward.
-All three follow from the combinatorics, with no search for disjoint groups.
-The partners of a first group a, the second groups b disjoint from it, are
-combinations(range(mu - |a|), |b|), one list shared by every a, relabelled
-through the points outside a in increasing order.  So a's block of rows is a
-followed by each relabelled combination, and its partners come in increasing
-rank.  With equal group sizes the forward rows of a block are therefore a
-suffix, after the partners that rank below a: i of them for a pair starting
-at i, i*(mu-3) - i*(i-1)/2 for a quadruple.  Forward rows take consecutive
-ranks, and each rank is also scattered to the mirror (b, a), at row
-rank(b) * partners plus the rank of a among the points outside b.  The table
-is built in blocks of about _CHUNK rows, so no array as long as the rows
-exists but the table's own.
+determinants, (1,).  A row is a first group of points, then a disjoint second
+group; rows come in lexicographic order.  With equal group sizes (D, Omega) the
+mirror (b, a) of a forward row (a, b), a ranking below b, negates its factor.
+The index table of one (kind, mu), shared read-only by every sample of a trace,
+holds only the forward rows, transposed, in the smallest dtype that holds
+mu - 1, and the row count.  It is built from closed-form ranks in blocks of
+about _CHUNK rows, so no array as long as the table exists but its own.  The
+rows, and the forward rank of each, are derived on first access, for
+per-factor output only.
 
-The kernel walks the rows in chunks of _CHUNK.  It fills one float64 log per
-forward row, magnitudes from np.hypot and logs from np.log (the same bits
-whether a call takes one factor or all; math.log differs in the last bit on
-some inputs), then yields the logs in row order.  One sample's LogProduct holds
-only its total, the index of its first zero factor, the shared table and its
-mu values.  The total folds each chunk's kept logs with np.add.accumulate,
-the running total added into the chunk's first kept log, so it adds the kept
-logs strictly left to right in tuple order, as a plain ``t += x`` loop does:
-numpy's sum is pairwise and the built-in sum() is compensated from CPython
-3.12 on.  The per-factor logs and FactorRecords are rebuilt by the same kernel
-only on demand (trace, classify_factors, LogProduct.record); a degenerate
-hint reads the stored first-zero index alone.  products_at takes one sample's
-tracked critical set, and the Hessian product differentiates f - eps*phi once
-per sample.
+The kernel walks the forward rows in chunks of _CHUNK: magnitudes from np.hypot,
+logs from np.log (the same bits whether a call takes one factor or all;
+math.log differs in the last bit on some inputs).  A total adds the kept logs
+of the forward rows strictly left to right, as a plain ``t += x`` loop does
+(numpy's sum is pairwise, the built-in sum() compensated from CPython 3.12 on),
+then D and Omega double it: a mirror adds its forward row's log again.  A
+forward row precedes its mirror, so the first zero factor is the row of the
+first zero forward rank.  One sample's LogProduct holds its total, that rank,
+the shared table and its mu values.  Per-factor logs and FactorRecords are
+rebuilt on demand (trace, classify_factors, LogProduct.record); a degenerate
+hint reads the first zero's forward column alone.
 """
 
 from __future__ import annotations
@@ -121,12 +104,50 @@ _CHUNK = 1 << 12  # rows per kernel pass and per index-table block
 
 @dataclass(frozen=True, eq=False)
 class _IndexTable:
-    """The index rows of one kind over mu points, shared by every product of that kind and mu."""
+    """The forward rows of one kind over mu points, transposed, and the number of rows."""
 
     kind: Kind
-    rows: np.ndarray
+    mu: int
     columns: np.ndarray
-    source: Optional[np.ndarray]
+    count: int
+
+    @property
+    def mirrored(self) -> bool:
+        first, second, _ = _TUPLES[self.kind]
+        return first == second
+
+    # every row, and the forward rank of each (None when every row is forward)
+    rows = property(lambda self: self._derived[0])
+    source = property(lambda self: self._derived[1])
+
+    @cached_property
+    def _derived(self) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        return _rows_and_source(self)
+
+    @cached_property
+    def _blocks(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """Rows per first group, and per first group the rows before its forward ones and its first rank.
+
+        A first group's partners come in increasing rank, so with equal group sizes
+        its forward rows are the suffix after the partners ranked below it, which
+        all start before its first point i: i of them for a pair, sum over k < i of
+        (mu - k - 3) for a quadruple.
+        """
+        first, second, _ = _TUPLES[self.kind]
+        partners = math.comb(max(self.mu - first, 0), second)
+        i = _groups(self.mu, first)[:, 0].astype(np.intp)
+        earlier = i if first == 1 else i * (self.mu - 3) - i * (i - 1) // 2
+        earlier *= self.mirrored  # otherwise every row is forward
+        return partners, earlier, np.cumsum(partners - earlier) - (partners - earlier)
+
+    def row_of(self, rank):
+        """The row of each forward rank.  Forward counts fall with the first point of
+        their group, so only trailing groups have none and searchsorted finds the rank's."""
+        if not self.mirrored:
+            return rank
+        partners, earlier, starts = self._blocks
+        a = np.searchsorted(starts, rank, side="right") - 1
+        return a * partners + earlier[a] + rank - starts[a]
 
 
 def _groups(mu: int, size: int) -> np.ndarray:
@@ -164,45 +185,39 @@ def _index_table(kind: Kind, mu: int) -> _IndexTable:
     picks = [head + c for c in itertools.combinations(range(first, first + free), second)]
     partners = len(picks)
     picks = np.array(picks, np.intp).reshape(partners, first + second)
-    rows = np.empty((len(g1) * partners, first + second), g1.dtype)
-    columns, source = rows.T, None
-    # with equal group sizes, swapping the groups negates the factor: each configuration
-    # is evaluated once, at its forward row (first group before second), and ``source``
-    # maps every row to it
-    mirrored = first == second
-    if mirrored:
-        columns = np.empty((first + second, len(rows) // 2), g1.dtype)
-        source = np.empty(len(rows), np.min_scalar_type(len(rows) // 2))
-        # the partners of a first group come in increasing rank, so its forward rows are
-        # the suffix after the partners ranked below it, which all start before its first
-        # point i: i of them for a pair, sum over k < i of (mu - k - 3) for a quadruple
-        i = g1[:, 0].astype(np.intp)
-        earlier = i if first == 1 else i * (mu - 3) - i * (i - 1) // 2
-    done = 0  # forward rows so far
+    count = len(g1) * partners
+    forwards = count // 2 if first == second else count
+    table = _IndexTable(kind, mu, np.empty((first + second, forwards), g1.dtype), count)
+    _, earlier, starts = table._blocks
     step = max(1, _CHUNK // max(partners, 1))
     for a0 in range(0, len(g1), step):
-        a1 = min(a0 + step, len(g1))
-        block = rows[a0 * partners : a1 * partners]
-        out = block.reshape(a1 - a0, partners, first + second)
-        np.take(order[a0:a1], picks, axis=1, out=out, mode="clip")
-        if not mirrored:
-            continue
-        at = np.flatnonzero(np.arange(partners) >= earlier[a0:a1, None])
-        ranks = np.arange(done, done + len(at))
-        source[a0 * partners + at] = ranks
-        forward = block.take(at, axis=0).T
-        columns[:, done : done + len(ranks)] = forward
-        done += len(ranks)
-        # the mirror (b, a) of forward row (a, b) sits in block rank(b), at the rank of a
-        # among the points outside b; relabel a there from b's last point down, so that
-        # each shift compares with an unshifted point
-        a, b = forward[:first].astype(np.intp), forward[first:].astype(np.intp)
+        block = np.take(order[a0 : a0 + step], picks, axis=1, mode="clip")
+        forward = block[np.arange(partners) >= earlier[a0 : a0 + step, None]]
+        table.columns[:, starts[a0] : starts[a0] + len(forward)] = forward.T
+    _read_only(table.columns)
+    return table
+
+
+def _rows_and_source(table: _IndexTable) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Every row and its forward rank: forward row (a, b) of rank r is row row_of(r), and its
+    mirror (b, a) sits in block rank(b), at the rank of a among the points outside b."""
+    if not table.mirrored:
+        return table.columns.T, None
+    size = len(table.columns) // 2
+    rows = np.empty((table.count, 2 * size), table.columns.dtype)
+    source = np.empty(table.count, np.min_scalar_type(table.count // 2))
+    for start in range(0, table.columns.shape[1], _CHUNK):
+        forward = table.columns[:, start : start + _CHUNK]
+        ranks = np.arange(start, start + forward.shape[1])
+        a, b = forward[:size].astype(np.intp), forward[size:].astype(np.intp)
+        # relabel a from b's last point down, so that each shift compares with an unshifted point
         for point in b[::-1]:
             a -= point < a
-        source[_group_rank(b, mu) * partners + _group_rank(a, free)] = ranks
-    if mirrored:
-        _read_only(source)
-    return _IndexTable(kind, _read_only(rows), _read_only(columns), source)
+        mirror = _group_rank(b, table.mu) * table._blocks[0] + _group_rank(a, table.mu - size)
+        for at, row in ((table.row_of(ranks), forward), (mirror, np.roll(forward, size, axis=0))):
+            rows[at] = row.T
+            source[at] = ranks
+    return _read_only(rows), _read_only(source)
 
 
 # one trace asks for at most one table per kind, all at its mu, so every sample shares
@@ -210,26 +225,26 @@ def _index_table(kind: Kind, mu: int) -> _IndexTable:
 _table = lru_cache(maxsize=len(Kind))(_index_table)
 
 
-def _log_chunks(table: _IndexTable, values: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """(start, logs) of consecutive chunks of rows in row order; NaN marks a zero factor.
+def _forward_chunks(table: _IndexTable, values: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(start, logs, kept) of consecutive chunks of forward rows, in forward order.
 
-    The one product kernel: it takes the log of every forward row a chunk at a
-    time, then gives each chunk of rows the logs of its forward rows.  Every
-    chunk reuses the same buffers, so a yielded array is only valid until the
-    next one is asked for.  A factor applies its coefficient row as adds and
-    subtracts (2*v as v + v): the same values as multiplying by the coefficients,
-    but for the sign of a zero, which no magnitude sees.
+    The one product kernel.  logs[k] is log|factor| of forward row start + k
+    where kept[k]; elsewhere the factor fell below the zero threshold and logs[k]
+    is not a log.  Every chunk reuses the same buffers, so a yielded array is only
+    valid until the next one is asked for.  A factor applies its coefficient row
+    as adds and subtracts (2*v as v + v): the same values as multiplying by the
+    coefficients, but for the sign of a zero, which no magnitude sees.
     """
     coefs = _TUPLES[table.kind][2]
     # the zero threshold scales the largest |v|, from np.hypot: the built-in abs calls the
     # same libm hypot, and every numpy loop of np.hypot does too, so its bits do not
     # depend on the CPU
     threshold = ZERO_COEF * float(np.hypot(values.real, values.imag).max(initial=0.0))
-    forward = np.full(table.columns.shape[1], np.nan)
-    width = min(_CHUNK, len(table.rows))  # no table has more forward rows than rows
+    count = table.columns.shape[1]
+    width = min(_CHUNK, count)
     buffers = np.empty(width, complex), np.empty(width, complex), np.empty(width), np.empty(width, bool)
-    for start in range(0, len(forward), _CHUNK):
-        term, factors, magnitudes, kept = (b[: len(forward) - start] for b in buffers)
+    for start in range(0, count, _CHUNK):
+        term, factors, logs, kept = (b[: count - start] for b in buffers)
         columns = table.columns[:, start : start + len(factors)]
         values.take(columns[0], out=factors, mode="clip")
         if coefs[0] == 2:
@@ -240,28 +255,34 @@ def _log_chunks(table: _IndexTable, values: np.ndarray) -> Iterator[tuple[int, n
                 factors += term
             else:
                 factors -= term
-        np.hypot(factors.real, factors.imag, out=magnitudes)
-        np.greater(magnitudes, threshold, out=kept)
-        np.log(magnitudes, out=forward[start : start + len(magnitudes)], where=kept)
-    for start in range(0, len(table.rows), _CHUNK):
-        if table.source is None:
-            yield start, forward[start : start + _CHUNK]
-        else:
-            source = table.source[start : start + _CHUNK]
-            yield start, forward.take(source, out=buffers[2][: len(source)], mode="clip")
+        np.hypot(factors.real, factors.imag, out=logs)
+        np.greater(logs, threshold, out=kept)
+        np.log(logs, out=logs, where=kept)
+        yield start, logs, kept
+
+
+def _log_chunks(table: _IndexTable, values: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, logs) of consecutive chunks of rows in row order, NaN for a zero factor:
+    the gather that only per-factor output makes."""
+    forward = np.empty(table.columns.shape[1])
+    for start, logs, kept in _forward_chunks(table, values):
+        forward[start : start + len(logs)] = np.where(kept, logs, np.nan)
+    for start in range(0, table.count, _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        yield start, forward[rows] if table.source is None else forward[table.source[rows]]
 
 
 @dataclass(frozen=True, eq=False)
 class LogProduct:
     """Total log-magnitude of one product, with what rebuilds its factors.
 
-    Factor k is formed from row k of ``table`` over ``values``; rows[k] holds
-    the positions in ``labels`` of its points.  first_zero is the index of the
-    first factor below the zero threshold, None if there is none.
+    Factor k is formed from row k of ``table`` over ``values``; table.rows[k]
+    holds the positions in ``labels`` of its points.  zero_rank is the forward rank
+    of the first factor below the zero threshold, None if there is none.
     """
 
     total: float  # sum over non-zero factors
-    first_zero: Optional[int]
+    zero_rank: Optional[int]
     table: _IndexTable
     values: np.ndarray
     labels: tuple
@@ -271,8 +292,9 @@ class LogProduct:
         return self.table.kind
 
     @property
-    def rows(self) -> np.ndarray:
-        return self.table.rows
+    def first_zero(self) -> Optional[int]:
+        """The row of the first zero factor: a forward row precedes its mirror."""
+        return None if self.zero_rank is None else int(self.table.row_of(self.zero_rank))
 
     @property
     def logs(self) -> np.ndarray:
@@ -280,23 +302,25 @@ class LogProduct:
 
         Rebuilt by the kernel on every access; nothing keeps it.
         """
-        logs = np.empty(len(self.rows))
+        logs = np.empty(self.table.count)
         for start, chunk in _log_chunks(self.table, self.values):
             logs[start : start + len(chunk)] = chunk
         return logs
 
     def record(self, k: int) -> FactorRecord:
-        """The record of factor k, built on demand; the first zero's needs no logs."""
-        return self._record(k, math.nan if k == self.first_zero else float(self.logs[k]))
+        """The record of factor k, built on demand; the first zero's reads its forward column alone."""
+        if k == self.first_zero:
+            return self._record(self.table.columns[:, self.zero_rank].tolist(), math.nan)
+        return self._record(self.table.rows[k].tolist(), float(self.logs[k]))
 
-    def _record(self, k: int, log: float) -> FactorRecord:
-        labels = tuple(self.labels[i] for i in self.rows[k].tolist())
+    def _record(self, row: list, log: float) -> FactorRecord:
+        labels = tuple(self.labels[i] for i in row)
         return FactorRecord(self.kind, labels, None if math.isnan(log) else log)
 
     @cached_property
     def factors(self) -> tuple[FactorRecord, ...]:
         """One record per factor, built on first access."""
-        return tuple(itertools.starmap(self._record, enumerate(self.logs.tolist())))
+        return tuple(map(self._record, self.table.rows.tolist(), self.logs.tolist()))
 
     @property
     def zero_count(self) -> int:
@@ -304,7 +328,7 @@ class LogProduct:
 
     @property
     def has_zero(self) -> bool:
-        return self.first_zero is not None
+        return self.zero_rank is not None
 
 
 def factor_count(kind: Kind, mu: int) -> int:
@@ -318,24 +342,23 @@ def factor_count(kind: Kind, mu: int) -> int:
 
 
 def _product(kind: Kind, values: Sequence[complex], labels: Optional[Sequence]) -> LogProduct:
-    """Fold the kernel's chunks into the total and the first zero, in row order."""
+    """Fold the kernel's chunks into the total and the first zero, in forward order."""
     v = np.asarray(values, dtype=complex)
-    mu = len(v)
-    table = _table(kind, mu)
-    total, first_zero = 0.0, None
-    zeros = np.empty(min(_CHUNK, len(table.rows)), bool)
-    for start, logs in _log_chunks(table, v):
-        zero = np.isnan(logs, out=zeros[: len(logs)])
-        if zero.any():
+    table = _table(kind, len(v))
+    total, zero_rank = 0.0, None
+    for start, logs, kept in _forward_chunks(table, v):
+        if not kept.all():
             # a zero factor adds 0.0, which leaves the bits of every partial sum as they are
             # (no partial sum is -0.0)
-            first_zero = start + int(zero.argmax()) if first_zero is None else first_zero
-            np.copyto(logs, 0.0, where=zero)
+            zero_rank = start + int(kept.argmin()) if zero_rank is None else zero_rank
+            np.copyto(logs, 0.0, where=~kept)
         # the running total is the chunk's first addend, so the sum runs strictly left to right
         logs[0] += total
         np.add.accumulate(logs, out=logs)
         total = float(logs[-1])
-    return LogProduct(total, first_zero, table, v, tuple(range(mu) if labels is None else labels))
+    # a mirror's factor is the negation of its forward row's, so it adds the same log again
+    total = total + total if table.mirrored else total
+    return LogProduct(total, zero_rank, table, v, tuple(range(len(v)) if labels is None else labels))
 
 
 def log_D(values: Sequence[complex], labels: Optional[Sequence] = None) -> LogProduct:
@@ -373,8 +396,8 @@ def products_at(line: GenericLine, points: CriticalPointSet, kinds: Sequence[Kin
         else:
             raise ValueError(f"unknown product kind {kind}")
         expected = factor_count(kind, line.a.mu)
-        if len(out[kind].rows) != expected:
-            raise AssertionError(f"{kind.value}: {len(out[kind].rows)} factors, expected {expected}")
+        if out[kind].table.count != expected:
+            raise AssertionError(f"{kind.value}: {out[kind].table.count} factors, expected {expected}")
     return out
 
 

@@ -589,6 +589,13 @@ class TestBatchedTracking:
         with pytest.raises(ValueError, match="not tracked in this batch"):
             track_to_phi(batch, EPS / 100)
 
+    def test_empty_tail_names_the_closed_form(self):
+        line = default_line((3, 3))
+        batch = TrackedBatch(line, [EPS])
+        with pytest.raises(ValueError, match="empty tail.*critical_set"):
+            track_to_phi(batch, EPS)
+        assert bits(critical_set(batch, EPS)) == bits(separable_critical_set(line, EPS))
+
     def test_linear_line_uses_closed_forms(self):
         line = default_line((5, 3))
         samples = EpsilonGrid().samples()

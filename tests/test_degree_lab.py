@@ -27,20 +27,17 @@ from phamlab.degree_lab import (
     slope_table_rows,
     verify_all,
 )
-from phamlab.discriminant_products import LogProduct, LogProductTrace, _IndexTable, evaluate_trace
+from phamlab.discriminant_products import LogProduct, LogProductTrace, _index_table, evaluate_trace
 from phamlab.polyalg import SparsePoly
 
 
 def _one_factor_trace(exponent, mags):
-    """A D_pair trace of one factor decaying exactly as eps^exponent over the magnitudes."""
+    """A D_pair trace of two points decaying exactly as eps^exponent over the magnitudes:
+    the pair and its mirror each decay as eps^(exponent / 2)."""
     samples = tuple(
         {
             Kind.D_PAIR: LogProduct(
-                log,
-                None,
-                _IndexTable(Kind.D_PAIR, np.array([[0, 1]]), np.array([[0], [1]]), None),
-                np.array([math.exp(log), 0j]),
-                (0, 1),
+                log, None, _index_table(Kind.D_PAIR, 2), np.array([math.exp(log / 2), 0j]), (0, 1)
             )
         }
         for log in (exponent * math.log(m) for m in mags)
@@ -273,9 +270,9 @@ class TestHistogramTotal:
             classify_factors(trace, (5, 3))
 
     def test_non_integer_total_raises(self):
-        # one factor decaying exactly as eps^(4/3) snaps cleanly to a non-integer total
-        with pytest.raises(ValueError, match="4/3, not an integer"):
-            classify_factors(_one_factor_trace(4 / 3, (1e-3, 1e-4)), (3,))
+        # two factors each decaying exactly as eps^(4/3) snap cleanly to a non-integer total
+        with pytest.raises(ValueError, match="8/3, not an integer"):
+            classify_factors(_one_factor_trace(8 / 3, (1e-3, 1e-4)), (3,))
 
 
 class TestClusterScaling:

@@ -245,6 +245,18 @@ def reference_products(values):
     return {Kind.D_PAIR: pairs, Kind.Y_TRIPLE: triples, Kind.OMEGA_QUAD: quads}
 
 
+def reference_total(kind, ref):
+    """The documented sum: strictly left to right over the kept logs of the forward rows,
+    those whose first group ranks below the second, doubled for D and Omega, where each
+    mirror adds its forward row's log again; over every row for Y."""
+    first = {Kind.D_PAIR: 1, Kind.OMEGA_QUAD: 2}.get(kind)
+    total = 0.0
+    for indices, log in ref:
+        if log is not None and (first is None or indices[:first] < indices[first:]):
+            total += log
+    return total if first is None else total + total
+
+
 def planted_values(mu, plant, seed):
     rng = random.Random(seed)
     v = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 1e-3 for _ in range(mu)]
@@ -277,11 +289,7 @@ class TestKernelAgainstReference:
                 tuple(labels[i] for i in idx) for idx, _ in ref
             ]
             assert [f.log_magnitude for f in result.factors] == [log for _, log in ref]
-            total = 0.0  # the documented order: strictly left to right over the kept logs
-            for _, log in ref:
-                if log is not None:
-                    total += log
-            assert result.total == total
+            assert result.total == reference_total(kind, ref)
             assert result.zero_count == sum(log is None for _, log in ref)
             assert [result.record(k) for k in range(len(result.logs))] == list(result.factors)
         if plant is not None:
@@ -317,9 +325,9 @@ class TestIndexTables:
         tables = {kind: trace.samples[0][kind].table for kind in Kind}
         for kind, table in tables.items():
             assert all(s[kind].table is table for s in trace.samples)
-            assert not table.rows.flags.writeable
-            assert table.rows.dtype == np.uint8
-            assert len(table.rows) == factor_count(kind, 35)
+            assert not table.columns.flags.writeable
+            assert table.columns.dtype == np.uint8
+            assert table.count == factor_count(kind, 35)
         again = evaluate_trace(line, EpsilonGrid().samples(), list(Kind))
         assert memo.cache_info().misses == len(Kind)
         assert all(s[kind].table is tables[kind] for s in again.samples for kind in Kind)
@@ -327,7 +335,7 @@ class TestIndexTables:
     def test_rows_widen_past_uint8(self):
         values = [complex(k, k * k % 7) for k in range(257)]
         result = log_D(values)
-        assert result.rows.dtype == np.uint16
+        assert result.table.rows.dtype == np.uint16
         assert result.record(0).indices == (0, 1)
         assert result.record(len(result.logs) - 1).indices == (256, 255)
 
@@ -335,6 +343,28 @@ class TestIndexTables:
     @pytest.mark.parametrize("mu", range(1, 15))
     def test_table_equals_its_definition(self, kind, mu):
         assert_table_is(discriminant_products._index_table(kind, mu), reference_table(kind, mu))
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    @pytest.mark.parametrize("mu", range(1, 10))
+    def test_derived_rows_and_source_equal_an_enumeration(self, kind, mu):
+        # rows enumerated as ordered tuples of disjoint groups, not through the points outside
+        # the first group; the forward rank of a row is that of its forward configuration
+        first, second, _ = discriminant_products._TUPLES[kind]
+        groups = lambda size: list(itertools.combinations(range(mu), size))
+        rows = sorted(g + h for g in groups(first) for h in groups(second) if not set(g) & set(h))
+        table = discriminant_products._index_table(kind, mu)
+        assert table.count == len(rows)
+        assert table.rows.tolist() == [list(row) for row in rows]
+        if first != second:
+            assert table.source is None
+            assert table.columns.T.tolist() == table.rows.tolist()
+            return
+        forward = [row for row in rows if row[:first] < row[first:]]
+        assert table.columns.T.tolist() == [list(row) for row in forward]
+        rank = {row: r for r, row in enumerate(forward)}
+        assert table.source.tolist() == [rank[min(row, row[first:] + row[:first])] for row in rows]
+        assert [int(table.row_of(r)) for r in range(len(forward))] == [rows.index(row) for row in forward]
+        assert table.row_of(np.arange(len(forward))).tolist() == [rows.index(row) for row in forward]
 
     @pytest.mark.parametrize("kind, mu, wide", [
         (Kind.OMEGA_QUAD, 28, ("source", np.uint16)),
@@ -373,9 +403,17 @@ class TestIndexTables:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept = table.rows.nbytes + table.columns.nbytes + table.source.nbytes
-        # no temporary as long as the rows, even a one-byte one (3.6 MB here)
-        assert peak - kept < 2e6
+        # the table keeps its forward rows alone, and no temporary as long as them, even a
+        # one-byte one (1.8 MB here)
+        assert peak - table.columns.nbytes < 2e6
+        tracemalloc.start()
+        try:
+            derived = table.rows.nbytes + table.source.nbytes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the rows and sources derived on demand, also with no temporary as long as the table
+        assert peak - derived < 2e6
 
 
 def reference_table(kind, mu):
@@ -400,6 +438,7 @@ def reference_table(kind, mu):
 
 
 def assert_table_is(table, expected):
+    assert table.count == len(expected[0])
     for field, want in zip(("rows", "columns", "source"), expected):
         got = getattr(table, field)
         if want is None:
@@ -588,11 +627,7 @@ class TestChunkBoundaries:
         for kind, op in KERNELS.items():
             result = op(values, labels)
             ref = expected[kind]
-            total = 0.0
-            for _, log in ref:
-                if log is not None:
-                    total += log
-            assert result.total == total
+            assert result.total == reference_total(kind, ref)
             zeros = [k for k, (_, log) in enumerate(ref) if log is None]
             assert result.first_zero == (zeros[0] if zeros else None)
             want = np.array([np.nan if log is None else log for _, log in ref])
@@ -608,12 +643,17 @@ class TestChunkBoundaries:
     @pytest.mark.parametrize("kind", [Kind.D_PAIR, Kind.Y_TRIPLE, Kind.OMEGA_QUAD])
     @pytest.mark.parametrize("mu", [1, 2, 3, 4, 5, 8, 9])
     def test_tables_built_in_blocks_equal_one_block(self, chunk, kind, mu):
+        # rows and source are derived in chunks of _CHUNK forward rows too
+        fields = ("columns", "count", "rows", "source")
         small = discriminant_products._index_table(kind, mu)
+        small = {field: getattr(small, field) for field in fields}
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(discriminant_products, "_CHUNK", 1 << 20)
             whole = discriminant_products._index_table(kind, mu)
-        for field in ("rows", "columns", "source"):
-            a, b = getattr(small, field), getattr(whole, field)
+            whole = {field: getattr(whole, field) for field in fields}
+        assert small.pop("count") == whole.pop("count")
+        for field in small:
+            a, b = small[field], whole[field]
             assert (a is None) == (b is None)
             if a is not None:
                 assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()
@@ -643,7 +683,7 @@ class TestChunkBoundaries:
         assert small.logs.tobytes() == whole.logs.tobytes()
         # the identity table the Hessian forms is the one its (1, 0) groups give
         table = discriminant_products._index_table(Kind.HESSIAN, len(points.labels))
-        assert small.rows.dtype == table.rows.dtype and (small.rows == table.rows).all()
+        assert small.table.rows.dtype == table.rows.dtype and (small.table.rows == table.rows).all()
         assert (small.table.columns == table.columns).all() and table.source is None
 
     def test_leading_chunk_without_kept_logs(self, chunk):
@@ -655,13 +695,27 @@ class TestChunkBoundaries:
         ref = reference_products(values)[Kind.D_PAIR]
         assert all(log is None for _, log in ref[:chunk])
         assert ref[chunk][1] is not None
-        total = 0.0
-        for _, log in ref:
-            if log is not None:
-                total += log
-        assert result.total == total
+        assert result.total == reference_total(Kind.D_PAIR, ref)
         assert result.first_zero == 0
         assert result.zero_count == sum(log is None for _, log in ref)
+
+
+    @pytest.mark.parametrize("plant", ["equal_pair", "progression", "parallelogram"])
+    @pytest.mark.parametrize("mu", range(4, 10))
+    def test_first_zero_is_the_first_nan_row(self, chunk, mu, plant):
+        # shuffled values put the planted points anywhere, so a zero's forward row may lie
+        # in any block and chunk
+        rng = random.Random(mu)
+        for trial in range(3):
+            values = planted_values(mu, plant, seed=trial)
+            rng.shuffle(values)
+            for kind, op in KERNELS.items():
+                result = op(values)
+                nan = np.flatnonzero(np.isnan(result.logs)).tolist()
+                assert result.first_zero == (nan[0] if nan else None), kind
+                if nan:
+                    assert result.record(nan[0]) == result.factors[nan[0]]
+            assert KERNELS[PLANTED_KIND[plant]](values).has_zero
 
 
 class TestVerifyKeepsTotalsOnly:
@@ -671,6 +725,16 @@ class TestVerifyKeepsTotalsOnly:
         monkeypatch.setattr(LogProduct, "logs", property(refuse_logs))
         report = verify_all((7, 5), "xy_coupled", mu_cap=64)
         assert [r.verdict for r in report.rows][:3] == ["Match"] * 3
+
+    @pytest.mark.parametrize("a, preset", [((7, 5), "xy_coupled"), ((3, 3), "xy_coupled"), ((3, 3, 2), "linear")])
+    def test_verify_derives_no_rows_or_source(self, monkeypatch, a, preset):
+        def refuse(table):
+            raise AssertionError(f"{table.kind.value}: rows or source derived")
+
+        discriminant_products._table.cache_clear()  # no table that earlier tests expanded
+        monkeypatch.setattr(discriminant_products, "_rows_and_source", refuse)
+        report = verify_all(a, preset, mu_cap=64)
+        assert not report.any_degenerate and report.rows[0].verdict == "Match"
 
     def test_degenerate_hint_reads_the_stored_index(self, monkeypatch):
         monkeypatch.setattr(LogProduct, "logs", property(refuse_logs))
