@@ -191,9 +191,11 @@ def _index_table(kind: Kind, mu: int) -> _IndexTable:
     _, earlier, starts = table._blocks
     step = max(1, _CHUNK // max(partners, 1))
     for a0 in range(0, len(g1), step):
-        block = np.take(order[a0 : a0 + step], picks, axis=1, mode="clip")
-        forward = block[np.arange(partners) >= earlier[a0 : a0 + step, None]]
-        table.columns[:, starts[a0] : starts[a0] + len(forward)] = forward.T
+        # one gather per column, each written whole, so no block is transposed
+        kept = np.arange(partners) >= earlier[a0 : a0 + step, None]
+        at = slice(starts[a0], starts[a0] + kept.sum())
+        for column, pick in zip(table.columns, picks.T):
+            column[at] = np.take(order[a0 : a0 + step], pick, axis=1, mode="clip")[kept]
     _read_only(table.columns)
     return table
 
@@ -298,10 +300,7 @@ class LogProduct:
 
     @property
     def logs(self) -> np.ndarray:
-        """log|factor k| per row, NaN where the factor fell below the zero threshold.
-
-        Rebuilt by the kernel on every access; nothing keeps it.
-        """
+        """log|factor k| per row, NaN below the zero threshold; rebuilt on every access, kept nowhere."""
         logs = np.empty(self.table.count)
         for start, chunk in _log_chunks(self.table, self.values):
             logs[start : start + len(chunk)] = chunk
