@@ -234,11 +234,11 @@ def cmd_trace(args) -> int:
     try:
         writer = csv.writer(handle)
         writer.writerow(["kind", "indices", "log_magnitude"])
-        for start, logs in _log_chunks(product.table, product.values):
-            rows = product.table.rows[start : start + len(logs)].tolist()
+        name = kind.value
+        for rows, logs in _log_chunks(product.table, product.values):
             writer.writerows(
-                (kind.value, " ".join([names[i] for i in row]), "ExactZero" if math.isnan(x) else repr(x))
-                for row, x in zip(rows, logs.tolist())
+                (name, " ".join([names[i] for i in row]), "ExactZero" if math.isnan(x) else repr(x))
+                for row, x in zip(rows.tolist(), logs.tolist())
             )
     finally:
         if args.out:

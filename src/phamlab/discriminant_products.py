@@ -19,22 +19,23 @@ group; rows come in lexicographic order.  With equal group sizes (D, Omega) the
 mirror (b, a) of a forward row (a, b), a ranking below b, negates its factor.
 The index table of one (kind, mu), shared read-only by every sample of a trace,
 holds only the forward rows, transposed, in the smallest dtype that holds
-mu - 1, and the row count.  It is built from closed-form ranks in blocks of
-about _CHUNK rows, so no array as long as the table exists but its own.  The
-rows, and the forward rank of each, are derived on first access, for
-per-factor output only.
+mu - 1, and the row count.  It is gathered from each first group's points and
+the points outside it, in blocks of about _CHUNK rows, so no array as long as
+the table exists but its own.  Every row comes from the same gather with no
+row dropped, on first access, for per-factor output only; no forward rank is
+kept per row.
 
-The kernel walks the forward rows in chunks of _CHUNK: magnitudes from np.hypot,
+The kernel walks forward rows in chunks of _CHUNK: magnitudes from np.hypot,
 logs from np.log (the same bits whether a call takes one factor or all;
 math.log differs in the last bit on some inputs).  A total adds the kept logs
 of the forward rows strictly left to right, as a plain ``t += x`` loop does
 (numpy's sum is pairwise, the built-in sum() compensated from CPython 3.12 on),
-then D and Omega double it: a mirror adds its forward row's log again.  A
-forward row precedes its mirror, so the first zero factor is the row of the
-first zero forward rank.  One sample's LogProduct holds its total, that rank,
-the shared table and its mu values.  Per-factor logs and FactorRecords are
-rebuilt on demand (trace, classify_factors, LogProduct.record); a degenerate
-hint reads the first zero's forward column alone.
+then D and Omega double it: a mirror adds its forward row's log again.  One
+sample's LogProduct holds its total, the forward rank of its first zero, the
+shared table and its mu values.  Per-factor logs and FactorRecords are rebuilt
+on demand (trace, classify_factors, LogProduct.record), each mirror formed as
+its forward row; a forward row precedes its mirror, so a degenerate hint reads
+the first zero's forward column alone.
 """
 
 from __future__ import annotations
@@ -116,38 +117,10 @@ class _IndexTable:
         first, second, _ = _TUPLES[self.kind]
         return first == second
 
-    # every row, and the forward rank of each (None when every row is forward)
-    rows = property(lambda self: self._derived[0])
-    source = property(lambda self: self._derived[1])
-
     @cached_property
-    def _derived(self) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        return _rows_and_source(self)
-
-    @cached_property
-    def _blocks(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """Rows per first group, and per first group the rows before its forward ones and its first rank.
-
-        A first group's partners come in increasing rank, so with equal group sizes
-        its forward rows are the suffix after the partners ranked below it, which
-        all start before its first point i: i of them for a pair, sum over k < i of
-        (mu - k - 3) for a quadruple.
-        """
-        first, second, _ = _TUPLES[self.kind]
-        partners = math.comb(max(self.mu - first, 0), second)
-        i = _groups(self.mu, first)[:, 0].astype(np.intp)
-        earlier = i if first == 1 else i * (self.mu - 3) - i * (i - 1) // 2
-        earlier *= self.mirrored  # otherwise every row is forward
-        return partners, earlier, np.cumsum(partners - earlier) - (partners - earlier)
-
-    def row_of(self, rank):
-        """The row of each forward rank.  Forward counts fall with the first point of
-        their group, so only trailing groups have none and searchsorted finds the rank's."""
-        if not self.mirrored:
-            return rank
-        partners, earlier, starts = self._blocks
-        a = np.searchsorted(starts, rank, side="right") - 1
-        return a * partners + earlier[a] + rank - starts[a]
+    def rows(self) -> np.ndarray:
+        """Every row, built on first access: with mirrors, the same gather with no row dropped."""
+        return (_index_table(self.kind, self.mu, mirrors=True) if self.mirrored else self).columns.T
 
 
 def _groups(mu: int, size: int) -> np.ndarray:
@@ -160,15 +133,8 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _group_rank(group: np.ndarray, m: int) -> np.ndarray:
-    """Lexicographic rank among the groups of range(m) of each column of ``group``: 1 or 2 sorted points."""
-    if len(group) == 1:
-        return group[0]
-    k, l = group
-    return k * (2 * m - k - 1) // 2 + l - k - 1
-
-
-def _index_table(kind: Kind, mu: int) -> _IndexTable:
+def _index_table(kind: Kind, mu: int, mirrors: bool = False) -> _IndexTable:
+    """The table of kind over mu points; its columns hold the mirror rows too if ``mirrors``."""
     first, second, _ = _TUPLES[kind]
     g1 = _groups(mu, first)
     free = max(mu - first, 0)  # points outside each first group
@@ -186,9 +152,15 @@ def _index_table(kind: Kind, mu: int) -> _IndexTable:
     partners = len(picks)
     picks = np.array(picks, np.intp).reshape(partners, first + second)
     count = len(g1) * partners
-    forwards = count // 2 if first == second else count
-    table = _IndexTable(kind, mu, np.empty((first + second, forwards), g1.dtype), count)
-    _, earlier, starts = table._blocks
+    # A first group's partners come in increasing rank, so with equal group sizes its
+    # forward rows are the suffix after the partners ranked below it, which all start
+    # before its first point i: i of them for a pair, sum over k < i of (mu - k - 3) for
+    # a quadruple.  Without mirrors to drop, every row is kept.
+    forward = first == second and not mirrors
+    i = g1[:, 0].astype(np.intp)
+    earlier = (i if first == 1 else i * (mu - 3) - i * (i - 1) // 2) * forward
+    starts = np.cumsum(partners - earlier) - (partners - earlier)
+    table = _IndexTable(kind, mu, np.empty((first + second, count // 2 if forward else count), g1.dtype), count)
     step = max(1, _CHUNK // max(partners, 1))
     for a0 in range(0, len(g1), step):
         # one gather per column, each written whole, so no block is transposed
@@ -200,35 +172,13 @@ def _index_table(kind: Kind, mu: int) -> _IndexTable:
     return table
 
 
-def _rows_and_source(table: _IndexTable) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Every row and its forward rank: forward row (a, b) of rank r is row row_of(r), and its
-    mirror (b, a) sits in block rank(b), at the rank of a among the points outside b."""
-    if not table.mirrored:
-        return table.columns.T, None
-    size = len(table.columns) // 2
-    rows = np.empty((table.count, 2 * size), table.columns.dtype)
-    source = np.empty(table.count, np.min_scalar_type(table.count // 2))
-    for start in range(0, table.columns.shape[1], _CHUNK):
-        forward = table.columns[:, start : start + _CHUNK]
-        ranks = np.arange(start, start + forward.shape[1])
-        a, b = forward[:size].astype(np.intp), forward[size:].astype(np.intp)
-        # relabel a from b's last point down, so that each shift compares with an unshifted point
-        for point in b[::-1]:
-            a -= point < a
-        mirror = _group_rank(b, table.mu) * table._blocks[0] + _group_rank(a, table.mu - size)
-        for at, row in ((table.row_of(ranks), forward), (mirror, np.roll(forward, size, axis=0))):
-            rows[at] = row.T
-            source[at] = ranks
-    return _read_only(rows), _read_only(source)
-
-
 # one trace asks for at most one table per kind, all at its mu, so every sample shares
 # them; holding more would keep tables of earlier mu alive for nothing
 _table = lru_cache(maxsize=len(Kind))(_index_table)
 
 
-def _forward_chunks(table: _IndexTable, values: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(start, logs, kept) of consecutive chunks of forward rows, in forward order.
+def _forward_chunks(kind: Kind, columns: np.ndarray, values: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(start, logs, kept) of consecutive chunks of the forward rows ``columns``, in order.
 
     The one product kernel.  logs[k] is log|factor| of forward row start + k
     where kept[k]; elsewhere the factor fell below the zero threshold and logs[k]
@@ -237,21 +187,21 @@ def _forward_chunks(table: _IndexTable, values: np.ndarray) -> Iterator[tuple[in
     as adds and subtracts (2*v as v + v): the same values as multiplying by the
     coefficients, but for the sign of a zero, which no magnitude sees.
     """
-    coefs = _TUPLES[table.kind][2]
+    coefs = _TUPLES[kind][2]
     # the zero threshold scales the largest |v|, from np.hypot: the built-in abs calls the
     # same libm hypot, and every numpy loop of np.hypot does too, so its bits do not
     # depend on the CPU
     threshold = ZERO_COEF * float(np.hypot(values.real, values.imag).max(initial=0.0))
-    count = table.columns.shape[1]
+    count = columns.shape[1]
     width = min(_CHUNK, count)
     buffers = np.empty(width, complex), np.empty(width, complex), np.empty(width), np.empty(width, bool)
     for start in range(0, count, _CHUNK):
         term, factors, logs, kept = (b[: count - start] for b in buffers)
-        columns = table.columns[:, start : start + len(factors)]
-        values.take(columns[0], out=factors, mode="clip")
+        chunk = columns[:, start : start + len(factors)]
+        values.take(chunk[0], out=factors, mode="clip")
         if coefs[0] == 2:
             factors += factors
-        for coef, column in zip(coefs[1:], columns[1:]):
+        for coef, column in zip(coefs[1:], chunk[1:]):
             values.take(column, out=term, mode="clip")
             if coef > 0:
                 factors += term
@@ -263,15 +213,21 @@ def _forward_chunks(table: _IndexTable, values: np.ndarray) -> Iterator[tuple[in
         yield start, logs, kept
 
 
-def _log_chunks(table: _IndexTable, values: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """(start, logs) of consecutive chunks of rows in row order, NaN for a zero factor:
-    the gather that only per-factor output makes."""
-    forward = np.empty(table.columns.shape[1])
-    for start, logs, kept in _forward_chunks(table, values):
-        forward[start : start + len(logs)] = np.where(kept, logs, np.nan)
+def _log_chunks(table: _IndexTable, values: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(rows, logs) of consecutive chunks of rows in row order, NaN for a zero factor.
+
+    A mirror (b, a) is evaluated as its forward row (a, b), halves swapped: its
+    factor is the negation, so its log keeps the forward row's bits.  Disjoint sorted
+    groups differ in their first point, so the mirrors are the rows with row[0] > row[size].
+    """
+    size = len(table.columns) // 2
     for start in range(0, table.count, _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        yield start, forward[rows] if table.source is None else forward[table.source[rows]]
+        rows = table.rows[start : start + _CHUNK]
+        columns = rows.T
+        if table.mirrored:
+            columns = np.where(columns[0] > columns[size], np.roll(columns, size, axis=0), columns)
+        for _, logs, kept in _forward_chunks(table.kind, columns, values):
+            yield rows, np.where(kept, logs, np.nan)
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,22 +250,17 @@ class LogProduct:
         return self.table.kind
 
     @property
-    def first_zero(self) -> Optional[int]:
-        """The row of the first zero factor: a forward row precedes its mirror."""
-        return None if self.zero_rank is None else int(self.table.row_of(self.zero_rank))
-
-    @property
     def logs(self) -> np.ndarray:
         """log|factor k| per row, NaN below the zero threshold; rebuilt on every access, kept nowhere."""
         logs = np.empty(self.table.count)
-        for start, chunk in _log_chunks(self.table, self.values):
+        start = 0
+        for _, chunk in _log_chunks(self.table, self.values):
             logs[start : start + len(chunk)] = chunk
+            start += len(chunk)
         return logs
 
     def record(self, k: int) -> FactorRecord:
-        """The record of factor k, built on demand; the first zero's reads its forward column alone."""
-        if k == self.first_zero:
-            return self._record(self.table.columns[:, self.zero_rank].tolist(), math.nan)
+        """The record of factor k, built on demand."""
         return self._record(self.table.rows[k].tolist(), float(self.logs[k]))
 
     def _record(self, row: list, log: float) -> FactorRecord:
@@ -345,7 +296,7 @@ def _product(kind: Kind, values: Sequence[complex], labels: Optional[Sequence]) 
     v = np.asarray(values, dtype=complex)
     table = _table(kind, len(v))
     total, zero_rank = 0.0, None
-    for start, logs, kept in _forward_chunks(table, v):
+    for start, logs, kept in _forward_chunks(kind, table.columns, v):
         if not kept.all():
             # a zero factor adds 0.0, which leaves the bits of every partial sum as they are
             # (no partial sum is -0.0)
@@ -417,11 +368,12 @@ class LogProductTrace:
         return any(s[kind].has_zero for s in self.samples)
 
     def first_zero(self, kind: Kind) -> Optional[FactorRecord]:
-        """Record of the first structural-zero factor; builds no other record."""
+        """Record of the first structural-zero factor, from its forward column alone: a forward
+        row precedes its mirror.  Builds no other record."""
         for s in self.samples:
             product = s[kind]
             if product.has_zero:
-                return product.record(product.first_zero)
+                return product._record(product.table.columns[:, product.zero_rank].tolist(), math.nan)
         return None
 
 

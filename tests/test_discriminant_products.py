@@ -18,6 +18,7 @@ from phamlab.discriminant_products import (
     ZERO_COEF,
     Kind,
     LogProduct,
+    LogProductTrace,
     evaluate_trace,
     factor_count,
     log_D,
@@ -346,43 +347,34 @@ class TestIndexTables:
 
     @pytest.mark.parametrize("kind", list(Kind))
     @pytest.mark.parametrize("mu", range(1, 10))
-    def test_derived_rows_and_source_equal_an_enumeration(self, kind, mu):
+    def test_rows_equal_a_sorted_enumeration(self, kind, mu):
         # rows enumerated as ordered tuples of disjoint groups, not through the points outside
-        # the first group; the forward rank of a row is that of its forward configuration
+        # the first group; the columns hold the forward rows alone
         first, second, _ = discriminant_products._TUPLES[kind]
         groups = lambda size: list(itertools.combinations(range(mu), size))
         rows = sorted(g + h for g in groups(first) for h in groups(second) if not set(g) & set(h))
         table = discriminant_products._index_table(kind, mu)
         assert table.count == len(rows)
         assert table.rows.tolist() == [list(row) for row in rows]
-        if first != second:
-            assert table.source is None
-            assert table.columns.T.tolist() == table.rows.tolist()
-            return
-        forward = [row for row in rows if row[:first] < row[first:]]
+        forward = [row for row in rows if first != second or row[:first] < row[first:]]
         assert table.columns.T.tolist() == [list(row) for row in forward]
-        rank = {row: r for r, row in enumerate(forward)}
-        assert table.source.tolist() == [rank[min(row, row[first:] + row[:first])] for row in rows]
-        assert [int(table.row_of(r)) for r in range(len(forward))] == [rows.index(row) for row in forward]
-        assert table.row_of(np.arange(len(forward))).tolist() == [rows.index(row) for row in forward]
 
-    @pytest.mark.parametrize("kind, mu, wide", [
-        (Kind.OMEGA_QUAD, 28, ("source", np.uint16)),
-        (Kind.OMEGA_QUAD, 29, ("source", np.uint32)),
-        (Kind.D_PAIR, 256, ("rows", np.uint8)),
-        (Kind.D_PAIR, 257, ("rows", np.uint16)),
+    @pytest.mark.parametrize("kind, mu, dtype", [
+        (Kind.D_PAIR, 256, np.uint8),
+        (Kind.D_PAIR, 257, np.uint16),
+        (Kind.HESSIAN, 256, np.uint8),
+        (Kind.HESSIAN, 257, np.uint16),
     ])
-    def test_table_at_a_dtype_boundary(self, kind, mu, wide):
+    def test_table_at_a_dtype_boundary(self, kind, mu, dtype):
         table = discriminant_products._index_table(kind, mu)
-        field, dtype = wide
-        assert getattr(table, field).dtype == dtype
+        assert table.rows.dtype == dtype
         assert_table_is(table, reference_table(kind, mu))
 
     def test_sampled_rows_of_y_past_uint8(self):
         mu, partners = 257, math.comb(256, 2)
         table = discriminant_products._index_table(Kind.Y_TRIPLE, mu)
         assert table.rows.dtype == np.uint16 and table.rows.shape == (mu * partners, 3)
-        assert table.source is None and (table.columns == table.rows.T).all()
+        assert (table.columns == table.rows.T).all()
         assert not table.rows.flags.writeable and not table.columns.flags.writeable
         rng = random.Random(257)
         # both ends of every first group's block where a point passes 255, and random rows
@@ -408,18 +400,17 @@ class TestIndexTables:
         assert peak - table.columns.nbytes < 2e6
         tracemalloc.start()
         try:
-            derived = table.rows.nbytes + table.source.nbytes
+            rows = table.rows.nbytes
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the rows and sources derived on demand, also with no temporary as long as the table
-        assert peak - derived < 2e6
+        # every row, gathered on demand, also with no temporary as long as the table
+        assert peak - rows < 2e6
 
 
 def reference_table(kind, mu):
-    """(rows, columns, source) from the definition: disjoint (first, second) groups in
-    lexicographic order; with equal group sizes, the forward rows (first group before
-    second) as columns, and each row's source the forward rank of the row or of its swap."""
+    """(rows, columns) from the definition: disjoint (first, second) groups in lexicographic
+    order; with equal group sizes, the forward rows (first group before second) as columns."""
     first, second, _ = discriminant_products._TUPLES[kind]
     rows = [
         g + h
@@ -429,21 +420,15 @@ def reference_table(kind, mu):
     dtype = np.min_scalar_type(mu - 1)
     table = np.array(rows, dtype).reshape(len(rows), first + second)
     if first != second:
-        return table, table.T, None
+        return table, table.T
     forward = [row for row in rows if row[:first] < row[first:]]
-    rank = {row: r for r, row in enumerate(forward)}
-    source = [rank[row] if row in rank else rank[row[first:] + row[:first]] for row in rows]
-    columns = np.array(forward, dtype).reshape(len(forward), first + second).T
-    return table, columns, np.array(source, np.min_scalar_type(len(rows) // 2))
+    return table, np.array(forward, dtype).reshape(len(forward), first + second).T
 
 
 def assert_table_is(table, expected):
     assert table.count == len(expected[0])
-    for field, want in zip(("rows", "columns", "source"), expected):
+    for field, want in zip(("rows", "columns"), expected):
         got = getattr(table, field)
-        if want is None:
-            assert got is None, field
-            continue
         assert got.dtype == want.dtype and got.shape == want.shape, field
         assert (got == want).all(), field
         assert not got.flags.writeable, field
@@ -456,15 +441,18 @@ def tracked_7_5_values():
 
 
 def kernel_magnitudes(kind, values):
-    """|factor| of every row, formed as the kernel forms it: forward rows, then the mirror gather."""
+    """|factor| of every row, formed as the kernel forms it: each mirror as its forward row."""
     table = discriminant_products._index_table(kind, len(values))
-    coefs = discriminant_products._TUPLES[kind][2]
+    first, second, coefs = discriminant_products._TUPLES[kind]
+    rows = table.rows.astype(np.intp)
+    if first == second:
+        # disjoint sorted groups differ in their first point
+        rows = np.where(rows[:, :1] > rows[:, first : first + 1], np.roll(rows, first, axis=1), rows)
     v = np.asarray(values, dtype=complex)
-    factors = coefs[0] * v[table.columns[0]]
-    for coef, column in zip(coefs[1:], table.columns[1:]):
+    factors = coefs[0] * v[rows[:, 0]]
+    for coef, column in zip(coefs[1:], rows.T[1:]):
         factors += coef * v[column]
-    magnitudes = np.hypot(factors.real, factors.imag)
-    return magnitudes if table.source is None else magnitudes[table.source]
+    return np.hypot(factors.real, factors.imag)
 
 
 def oracle_terms(line, eps):
@@ -606,6 +594,11 @@ def refuse_logs(self):
     raise AssertionError("per-factor logs were built")
 
 
+def first_zero_record(product):
+    """The first-zero record that a trace of this one product gives."""
+    return LogProductTrace((EPS,), ({product.kind: product},)).first_zero(product.kind)
+
+
 class TestChunkBoundaries:
     """The kernel walks rows in chunks of _CHUNK; no chunk size may change a bit."""
 
@@ -629,7 +622,7 @@ class TestChunkBoundaries:
             ref = expected[kind]
             assert result.total == reference_total(kind, ref)
             zeros = [k for k, (_, log) in enumerate(ref) if log is None]
-            assert result.first_zero == (zeros[0] if zeros else None)
+            assert first_zero_record(result) == (result.factors[zeros[0]] if zeros else None)
             want = np.array([np.nan if log is None else log for _, log in ref])
             assert result.logs.tobytes() == want.tobytes()
             # each record rebuilds the logs, so check the ends, both sides of the first
@@ -643,8 +636,8 @@ class TestChunkBoundaries:
     @pytest.mark.parametrize("kind", [Kind.D_PAIR, Kind.Y_TRIPLE, Kind.OMEGA_QUAD])
     @pytest.mark.parametrize("mu", [1, 2, 3, 4, 5, 8, 9])
     def test_tables_built_in_blocks_equal_one_block(self, chunk, kind, mu):
-        # rows and source are derived in chunks of _CHUNK forward rows too
-        fields = ("columns", "count", "rows", "source")
+        # every row is gathered in blocks of about _CHUNK rows too
+        fields = ("columns", "count", "rows")
         small = discriminant_products._index_table(kind, mu)
         small = {field: getattr(small, field) for field in fields}
         with pytest.MonkeyPatch.context() as patch:
@@ -684,7 +677,7 @@ class TestChunkBoundaries:
         # the identity table the Hessian forms is the one its (1, 0) groups give
         table = discriminant_products._index_table(Kind.HESSIAN, len(points.labels))
         assert small.table.rows.dtype == table.rows.dtype and (small.table.rows == table.rows).all()
-        assert (small.table.columns == table.columns).all() and table.source is None
+        assert (small.table.columns == table.columns).all()
 
     def test_leading_chunk_without_kept_logs(self, chunk):
         # v_0 = v_1 = ... = v_chunk: the first ``chunk`` rows, (0, 1) ... (0, chunk), are all zero
@@ -696,7 +689,7 @@ class TestChunkBoundaries:
         assert all(log is None for _, log in ref[:chunk])
         assert ref[chunk][1] is not None
         assert result.total == reference_total(Kind.D_PAIR, ref)
-        assert result.first_zero == 0
+        assert first_zero_record(result) == result.factors[0]
         assert result.zero_count == sum(log is None for _, log in ref)
 
 
@@ -712,7 +705,7 @@ class TestChunkBoundaries:
             for kind, op in KERNELS.items():
                 result = op(values)
                 nan = np.flatnonzero(np.isnan(result.logs)).tolist()
-                assert result.first_zero == (nan[0] if nan else None), kind
+                assert first_zero_record(result) == (result.factors[nan[0]] if nan else None), kind
                 if nan:
                     assert result.record(nan[0]) == result.factors[nan[0]]
             assert KERNELS[PLANTED_KIND[plant]](values).has_zero
@@ -727,12 +720,12 @@ class TestVerifyKeepsTotalsOnly:
         assert [r.verdict for r in report.rows][:3] == ["Match"] * 3
 
     @pytest.mark.parametrize("a, preset", [((7, 5), "xy_coupled"), ((3, 3), "xy_coupled"), ((3, 3, 2), "linear")])
-    def test_verify_derives_no_rows_or_source(self, monkeypatch, a, preset):
+    def test_verify_derives_no_rows(self, monkeypatch, a, preset):
         def refuse(table):
-            raise AssertionError(f"{table.kind.value}: rows or source derived")
+            raise AssertionError(f"{table.kind.value}: rows derived")
 
         discriminant_products._table.cache_clear()  # no table that earlier tests expanded
-        monkeypatch.setattr(discriminant_products, "_rows_and_source", refuse)
+        monkeypatch.setattr(discriminant_products._IndexTable, "rows", property(refuse))
         report = verify_all(a, preset, mu_cap=64)
         assert not report.any_degenerate and report.rows[0].verdict == "Match"
 
