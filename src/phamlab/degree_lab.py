@@ -71,7 +71,6 @@ __all__ = [
 
 MATCH_TOLERANCE = 0.05
 CLASSIFY_TOLERANCE = 0.08
-INCONCLUSIVE_SPREAD = 0.2
 DEFAULT_MU_CAP = 16
 
 
@@ -176,16 +175,12 @@ def _aitken_limit(slopes: Sequence[float]) -> float:
     return slopes[-1] + d1 * sigma / (1.0 - sigma)
 
 
-def _non_monotone_beyond(slopes: Sequence[float], spread: float) -> bool:
-    rising = all(slopes[k + 1] >= slopes[k] - 1e-9 for k in range(len(slopes) - 1))
-    falling = all(slopes[k + 1] <= slopes[k] + 1e-9 for k in range(len(slopes) - 1))
-    if rising or falling:
-        return False
-    return max(slopes) - min(slopes) > spread
-
-
 def estimate_from_trace(trace: LogProductTrace, kind: Kind) -> DegreeEstimate:
-    """Judge the fit alone: Match when the Aitken value lies within MATCH_TOLERANCE of an integer."""
+    """Judge the fit alone, once it has converged.
+
+    Inconclusive while either of the last two slope steps exceeds MATCH_TOLERANCE;
+    otherwise Match when the Aitken value lies within MATCH_TOLERANCE of an integer.
+    """
     mags = tuple(abs(e) for e in trace.epsilon_samples)
     totals = tuple(trace.totals(kind))
     slopes: tuple[float, ...] = ()
@@ -195,8 +190,10 @@ def estimate_from_trace(trace: LogProductTrace, kind: Kind) -> DegreeEstimate:
         hint = _zero_hint(trace.first_zero(kind))
     else:
         slopes = tuple(_pairwise_slopes(mags, totals))
-        if _non_monotone_beyond(slopes, INCONCLUSIVE_SPREAD):
+        step = max((abs(b - a) for a, b in itertools.pairwise(slopes[-3:])), default=0.0)
+        if not step <= MATCH_TOLERANCE:
             verdict = Verdict.INCONCLUSIVE
+            hint = f"slopes still moving by {step:.3g} at |eps| = {mags[-1]:.3g}; sample deeper"
         else:
             extrapolated = _aitken_limit(slopes)
             snapped = round(extrapolated)

@@ -497,21 +497,31 @@ class TestDerivedRows:
         assert (row.estimate, row.snapped, row.residual) == (None, None, None)
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError, reason="ROADMAP item 1: verdict from converged slopes only"
-)
 @pytest.mark.parametrize(
     "a, preset, mu_cap",
     [((7, 5), "xy_coupled", 64), ((15,), "quadratic_1d", DEFAULT_MU_CAP), ((9, 7), "xy_coupled", 64)],
 )
 def test_no_row_is_a_mismatch(a, preset, mu_cap):
-    # each case has a Mismatch row from slopes that have not converged on the default grid;
-    # a case that passes (XPASS) fails the suite and becomes a plain regression test
+    # each case's slopes have not converged on the default grid; they once gave Mismatch rows
     report = verify_all(a, preset, mu_cap=mu_cap)
     assert [r.quantity for r in report.rows if r.verdict == Verdict.MISMATCH.value] == []
 
 
-@pytest.mark.xfail(strict=True, raises=TrackerError, reason="ROADMAP item 3: scale-relative set validation")
+def test_moving_tail_is_inconclusive_not_a_wrong_snap():
+    # slopes 11.3, 11.2, 11.1, 11.0 still fall by 0.1 a step, say towards 10; they are
+    # monotone, and Aitken's step keeps the last slope at so flat a ratio, which snaps to 11
+    mags = tuple(10.0**-k for k in range(2, 7))
+    slopes = (11.3, 11.2, 11.1, 11.0)
+    totals = np.cumsum([0.0, *(s * math.log(0.1) for s in slopes)]).tolist()
+    table = _index_table(Kind.D_PAIR, 2)
+    samples = tuple({Kind.D_PAIR: LogProduct(t, None, table, np.array([1, 0j]), (0, 1))} for t in totals)
+    est = estimate_from_trace(LogProductTrace(mags, samples), Kind.D_PAIR)
+    assert round(degree_lab._aitken_limit(est.slopes)) == 11
+    assert (est.verdict, est.snapped) == (Verdict.INCONCLUSIVE, None)
+    assert est.hint == "slopes still moving by 0.1 at |eps| = 1e-06; sample deeper"
+
+
+@pytest.mark.xfail(strict=True, raises=TrackerError, reason="ROADMAP item 6: scale-relative set validation")
 @pytest.mark.parametrize(
     "a, preset, start",
     [((11, 3), "xy_coupled", 1e-22), ((13, 2), "linear", 1e-26)],
