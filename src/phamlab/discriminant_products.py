@@ -128,11 +128,6 @@ def _groups(mu: int, size: int) -> np.ndarray:
     return np.array(groups, dtype=np.min_scalar_type(mu - 1)).reshape(len(groups), size)
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
 def _index_table(kind: Kind, mu: int, mirrors: bool = False) -> _IndexTable:
     """The table of kind over mu points; its columns hold the mirror rows too if ``mirrors``."""
     first, second, _ = _TUPLES[kind]
@@ -168,7 +163,7 @@ def _index_table(kind: Kind, mu: int, mirrors: bool = False) -> _IndexTable:
         at = slice(starts[a0], starts[a0] + kept.sum())
         for column, pick in zip(table.columns, picks.T):
             column[at] = np.take(order[a0 : a0 + step], pick, axis=1, mode="clip")[kept]
-    _read_only(table.columns)
+    table.columns.flags.writeable = False
     return table
 
 
