@@ -191,7 +191,7 @@ def estimate_from_trace(trace: LogProductTrace, kind: Kind) -> DegreeEstimate:
     else:
         slopes = tuple(_pairwise_slopes(mags, totals))
         step = max((abs(b - a) for a, b in itertools.pairwise(slopes[-3:])), default=0.0)
-        if not step <= MATCH_TOLERANCE:
+        if step > MATCH_TOLERANCE:
             verdict = Verdict.INCONCLUSIVE
             hint = f"slopes still moving by {step:.3g} at |eps| = {mags[-1]:.3g}; sample deeper"
         else:
