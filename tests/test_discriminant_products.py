@@ -647,10 +647,8 @@ class TestChunkBoundaries:
         assert small.pop("count") == whole.pop("count")
         for field in small:
             a, b = small[field], whole[field]
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()
-                assert not a.flags.writeable
+            assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()
+            assert not a.flags.writeable
 
     def test_mirror_reads_a_forward_row_of_an_earlier_chunk(self, chunk):
         values = planted_values(6, None, seed=5)
