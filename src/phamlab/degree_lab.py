@@ -178,8 +178,10 @@ def _aitken_limit(slopes: Sequence[float]) -> float:
 def estimate_from_trace(trace: LogProductTrace, kind: Kind) -> DegreeEstimate:
     """Judge the fit alone, once it has converged.
 
-    Inconclusive while either of the last two slope steps exceeds MATCH_TOLERANCE;
-    otherwise Match when the Aitken value lies within MATCH_TOLERANCE of an integer.
+    Inconclusive while the last slope step, or Aitken's correction to the last
+    slope, exceeds MATCH_TOLERANCE; otherwise Match when the Aitken value lies
+    within MATCH_TOLERANCE of an integer.  An earlier step does not count: where
+    the slopes overshoot and turn back, it moves with the line's jitter.
     """
     mags = tuple(abs(e) for e in trace.epsilon_samples)
     totals = tuple(trace.totals(kind))
@@ -190,12 +192,13 @@ def estimate_from_trace(trace: LogProductTrace, kind: Kind) -> DegreeEstimate:
         hint = _zero_hint(trace.first_zero(kind))
     else:
         slopes = tuple(_pairwise_slopes(mags, totals))
-        step = max((abs(b - a) for a, b in itertools.pairwise(slopes[-3:])), default=0.0)
+        aitken = _aitken_limit(slopes)
+        step = max(abs(slopes[-1] - slopes[-2]), abs(aitken - slopes[-1]))
         if step > MATCH_TOLERANCE:
             verdict = Verdict.INCONCLUSIVE
             hint = f"slopes still moving by {step:.3g} at |eps| = {mags[-1]:.3g}; sample deeper"
         else:
-            extrapolated = _aitken_limit(slopes)
+            extrapolated = aitken
             snapped = round(extrapolated)
             residual = abs(extrapolated - snapped)
             verdict = Verdict.MATCH if residual <= MATCH_TOLERANCE else Verdict.MISMATCH

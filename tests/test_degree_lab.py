@@ -507,18 +507,47 @@ def test_no_row_is_a_mismatch(a, preset, mu_cap):
     assert [r.quantity for r in report.rows if r.verdict == Verdict.MISMATCH.value] == []
 
 
-def test_moving_tail_is_inconclusive_not_a_wrong_snap():
-    # slopes 11.3, 11.2, 11.1, 11.0 still fall by 0.1 a step, say towards 10; they are
-    # monotone, and Aitken's step keeps the last slope at so flat a ratio, which snaps to 11
-    mags = tuple(10.0**-k for k in range(2, 7))
-    slopes = (11.3, 11.2, 11.1, 11.0)
+def _estimate_with_slopes(slopes):
+    """The D estimate of a synthetic trace whose segment slopes on a 1e-2 / 10 grid are ``slopes``."""
+    mags = tuple(10.0 ** -(k + 2) for k in range(len(slopes) + 1))
     totals = np.cumsum([0.0, *(s * math.log(0.1) for s in slopes)]).tolist()
     table = _index_table(Kind.D_PAIR, 2)
     samples = tuple({Kind.D_PAIR: LogProduct(t, None, table, np.array([1, 0j]), (0, 1))} for t in totals)
-    est = estimate_from_trace(LogProductTrace(mags, samples), Kind.D_PAIR)
+    return estimate_from_trace(LogProductTrace(mags, samples), Kind.D_PAIR)
+
+
+def test_moving_tail_is_inconclusive_not_a_wrong_snap():
+    # slopes 11.3, 11.2, 11.1, 11.0 still fall by 0.1 a step, say towards 10; they are
+    # monotone, and Aitken's step keeps the last slope at so flat a ratio, which snaps to 11
+    est = _estimate_with_slopes((11.3, 11.2, 11.1, 11.0))
     assert round(degree_lab._aitken_limit(est.slopes)) == 11
     assert (est.verdict, est.snapped) == (Verdict.INCONCLUSIVE, None)
     assert est.hint == "slopes still moving by 0.1 at |eps| = 1e-06; sample deeper"
+
+
+def test_settled_tail_after_an_overshoot_is_judged():
+    # the Y slopes of (7,5) xy_coupled at jitter 653788 overshoot and turn back one step
+    # before the last; the last step and Aitken's correction are both within tolerance
+    est = _estimate_with_slopes((22459.3283, 22453.3051, 22451.9395, 22452.0537, 22452.0242))
+    assert (est.verdict, est.snapped) == (Verdict.MATCH, 22452)
+
+
+def test_large_aitken_correction_is_inconclusive():
+    # the Y slopes of (7,5) xy_coupled at jitter 252353: the last steps -0.025 and -0.020
+    # make Aitken's ratio 0.8 and move the last slope 22452.011 by -0.08, past the tolerance
+    est = _estimate_with_slopes((22455.1898, 22451.7289, 22452.0556, 22452.0307, 22452.0111))
+    assert abs(est.slopes[-1] - est.slopes[-2]) <= degree_lab.MATCH_TOLERANCE
+    assert (est.verdict, est.snapped) == (Verdict.INCONCLUSIVE, None)
+    assert est.hint.startswith("slopes still moving by 0.0")
+
+
+@pytest.mark.parametrize("jitter, mixed_stokes", [(653788, "Match"), (252353, "Inconclusive")])
+def test_jittered_7_5_mixed_stokes(jitter, mixed_stokes):
+    # the two lines above; the gate on the last two steps gave Inconclusive and Mismatch
+    line = jittered_line(default_line((7, 5), "xy_coupled"), jitter)
+    report = verify_all((7, 5), "xy_coupled", mu_cap=64, line=line)
+    assert [r.quantity for r in report.rows if r.verdict == Verdict.MISMATCH.value] == []
+    assert {r.quantity: r.verdict for r in report.rows}["mixed_stokes"] == mixed_stokes
 
 
 @pytest.mark.xfail(strict=True, raises=TrackerError, reason="ROADMAP item 6: scale-relative set validation")
