@@ -525,25 +525,31 @@ def test_moving_tail_is_inconclusive_not_a_wrong_snap():
     assert est.hint == "slopes still moving by 0.1 at |eps| = 1e-06; sample deeper"
 
 
-def test_settled_tail_after_an_overshoot_is_judged():
-    # the Y slopes of (7,5) xy_coupled at jitter 653788 overshoot and turn back one step
-    # before the last; the last step and Aitken's correction are both within tolerance
-    est = _estimate_with_slopes((22459.3283, 22453.3051, 22451.9395, 22452.0537, 22452.0242))
-    assert (est.verdict, est.snapped) == (Verdict.MATCH, 22452)
-
-
-def test_large_aitken_correction_is_inconclusive():
-    # the Y slopes of (7,5) xy_coupled at jitter 252353: the last steps -0.025 and -0.020
-    # make Aitken's ratio 0.8 and move the last slope 22452.011 by -0.08, past the tolerance
-    est = _estimate_with_slopes((22455.1898, 22451.7289, 22452.0556, 22452.0307, 22452.0111))
-    assert abs(est.slopes[-1] - est.slopes[-2]) <= degree_lab.MATCH_TOLERANCE
-    assert (est.verdict, est.snapped) == (Verdict.INCONCLUSIVE, None)
-    assert est.hint.startswith("slopes still moving by 0.0")
+@pytest.mark.parametrize(
+    "slopes, verdict, snapped, hint",
+    [
+        # the Y slopes of (7,5) xy_coupled at jitter 653788 overshoot and turn back one
+        # step before the last; the last step and Aitken's correction are within tolerance
+        ((22459.3283, 22453.3051, 22451.9395, 22452.0537, 22452.0242), Verdict.MATCH, 22452, None),
+        # at jitter 252353 the last steps -0.025 and -0.020 give Aitken's ratio 0.8, and
+        # its correction moves the last slope 22452.011 past the tolerance
+        (
+            (22455.1898, 22451.7289, 22452.0556, 22452.0307, 22452.0111),
+            Verdict.INCONCLUSIVE,
+            None,
+            "slopes still moving by 0.0725 at |eps| = 1e-07; sample deeper",
+        ),
+    ],
+)
+def test_gate_reads_the_last_step_and_aitkens_correction(slopes, verdict, snapped, hint):
+    est = _estimate_with_slopes(slopes)
+    assert (est.verdict, est.snapped, est.hint) == (verdict, snapped, hint)
 
 
 @pytest.mark.parametrize("jitter, mixed_stokes", [(653788, "Match"), (252353, "Inconclusive")])
 def test_jittered_7_5_mixed_stokes(jitter, mixed_stokes):
-    # the two lines above; the gate on the last two steps gave Inconclusive and Mismatch
+    # the lines of the synthetic slopes above, which a gate on the last two steps
+    # judged Inconclusive and Mismatch
     line = jittered_line(default_line((7, 5), "xy_coupled"), jitter)
     report = verify_all((7, 5), "xy_coupled", mu_cap=64, line=line)
     assert [r.quantity for r in report.rows if r.verdict == Verdict.MISMATCH.value] == []
